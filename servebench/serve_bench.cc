@@ -1,8 +1,8 @@
-// The serving benchmark: one workload through the public Frontend API, in
-// three phases — timed set-up, a closed loop (4 clients, each keeping a
-// fixed window of requests in flight) and an open loop (seeded Poisson
-// arrivals at the workload's fixed rate). Every response is checked against
-// a reference line. See servebench/README.md for the metrics.
+// The serving benchmark: one workload through the public Frontend API — a
+// timed set-up, then rounds of an open loop (seeded Poisson arrivals at the
+// workload's fixed rate) and a closed loop (4 clients, each keeping a fixed
+// window of requests in flight). Every response is checked against a
+// reference line. See servebench/README.md for the metrics.
 //
 //   serve_bench --workload <name> --seed <n> --seconds <s> --trace <0|1>
 //               [--trace-out <file.tsv>]
@@ -11,14 +11,16 @@
 // the metrics (end-to-end with --trace 0, per-layer with --trace 1). The
 // exit code is nonzero when any check failed.
 
-#include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -44,12 +46,16 @@ constexpr size_t kClients = 4;
 constexpr size_t kWindow = 16;
 constexpr int kSetupReps = 11;
 constexpr int kMemoryReps = 9;
-// The closed-loop throughput is the median over this many equal slices.
-constexpr int kSlices = 9;
-// Open-loop percentiles are the median over up to this many windows, each
-// expected to hold at least kWindowSamples responses (enough for a p99).
-constexpr size_t kMaxWindows = 36;
-constexpr double kWindowSamples = 1000.0;
+// The measured part of an untraced run alternates an open-loop and a
+// closed-loop segment in each of kRounds rounds. Each phase's figures come
+// from its kQuietRounds segments in which the host took the least CPU time
+// away (steal, on a shared host), so another guest's load moves a run less;
+// a stall the program itself causes shows in every round.
+constexpr size_t kRounds = 20;
+constexpr size_t kQuietRounds = 5;
+// Kept rounds in which the host still took more than this share of CPU
+// time print a warning: the run's figures are disturbed.
+constexpr double kStealWarning = 0.03;
 // Lines timed through the wire codecs, in the run's own kind mix.
 constexpr size_t kWireSample = 4096;
 constexpr int kMaxDiagnostics = 5;
@@ -94,13 +100,61 @@ std::optional<Args> ParseArgs(int argc, char** argv) {
   return args;
 }
 
-double PeakRssKb() {
-  rusage usage{};
-  getrusage(RUSAGE_SELF, &usage);
-  return static_cast<double>(usage.ru_maxrss);
+// The process's resident set size now; 0 when it cannot be read.
+double CurrentRssKb() {
+  std::FILE* file = std::fopen("/proc/self/statm", "r");
+  if (file == nullptr) {
+    return 0.0;
+  }
+  unsigned long long size = 0, resident = 0;
+  const int read = std::fscanf(file, "%llu %llu", &size, &resident);
+  std::fclose(file);
+  return read == 2 ? static_cast<double>(resident) * static_cast<double>(sysconf(_SC_PAGESIZE)) /
+                         1024.0
+                   : 0.0;
+}
+
+// Cumulative CPU ticks of the machine, from the aggregate line of
+// /proc/stat: the time the host took away from its virtual CPUs, and all.
+struct CpuTicks {
+  uint64_t steal = 0;
+  uint64_t total = 0;
+};
+
+CpuTicks ReadCpuTicks() {
+  CpuTicks ticks;
+  std::FILE* file = std::fopen("/proc/stat", "r");
+  if (file == nullptr) {
+    return ticks;
+  }
+  unsigned long long v[8] = {};
+  if (std::fscanf(file, "cpu %llu %llu %llu %llu %llu %llu %llu %llu", &v[0], &v[1], &v[2],
+                  &v[3], &v[4], &v[5], &v[6], &v[7]) == 8) {
+    ticks.steal = v[7];
+    for (unsigned long long t : v) {
+      ticks.total += t;
+    }
+  }
+  std::fclose(file);
+  return ticks;
+}
+
+// The share of CPU time the host took away between two readings; 0 when
+// /proc/stat could not be read.
+double StealShare(const CpuTicks& from, const CpuTicks& to) {
+  return to.total > from.total
+             ? static_cast<double>(to.steal - from.steal) / static_cast<double>(to.total - from.total)
+             : 0.0;
 }
 
 double Us(int64_t ns) { return static_cast<double>(ns) / 1e3; }
+
+// CPU time all of the process's threads have used, in ns.
+int64_t ProcessCpuNs() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+}
 
 // Responses and served legitimate requests, summed over every client.
 struct Totals {
@@ -112,21 +166,48 @@ struct Totals {
 };
 
 struct ClosedResult {
-  double throughput_rps = 0.0;  // median over slices
-  double legit_rps = 0.0;       // median over slices
+  double seconds = 0.0;
+  double cpu_seconds = 0.0;  // of every thread in the process
   uint64_t responses = 0;
-  uint64_t pumps = 0;
+  uint64_t legit_served = 0;
+
+  double throughput_rps() const { return static_cast<double>(responses) / seconds; }
+  double legit_rps() const { return static_cast<double>(legit_served) / seconds; }
+  double cpu_us_per_req() const { return 1e6 * cpu_seconds / static_cast<double>(responses); }
 };
 
 struct OpenResult {
-  // Latency samples by window of due time (kMaxWindows, fewer when the
-  // phase's expected arrivals cannot give each window kWindowSamples).
-  std::vector<std::vector<double>> latency_us;
-  size_t responses = 0;
+  std::vector<double> latency_us;  // one per response, from its due time
   std::vector<double> gen_late_us;
-  double backlog_growth = 0.0;
+  // (share of the segment gone, requests waiting) before every pump.
+  std::vector<std::pair<double, size_t>> backlog;
+};
+
+// Mean backlog in the last quarter of the open-loop segments against the
+// second: a backlog that keeps growing means the offered rate is above
+// capacity.
+struct Backlog {
+  double growth = 0.0;
   bool overloaded = false;
 };
+
+Backlog BacklogOf(const std::vector<const OpenResult*>& segments) {
+  double sum[4] = {0, 0, 0, 0};
+  size_t count[4] = {0, 0, 0, 0};
+  for (const OpenResult* segment : segments) {
+    for (const auto& [share, waiting] : segment->backlog) {
+      const size_t quarter = std::min<size_t>(3, static_cast<size_t>(4 * share));
+      sum[quarter] += static_cast<double>(waiting);
+      ++count[quarter];
+    }
+  }
+  const double second = count[1] > 0 ? sum[1] / static_cast<double>(count[1]) : 0.0;
+  const double last = count[3] > 0 ? sum[3] / static_cast<double>(count[3]) : 0.0;
+  Backlog backlog;
+  backlog.growth = second > 0.0 ? last / second : 0.0;
+  backlog.overloaded = backlog.growth > 2.0 && last > 4.0 * kWindow;
+  return backlog;
+}
 
 class Bench {
  public:
@@ -142,10 +223,11 @@ class Bench {
     }
   }
 
-  // Builds the Frontend with all workers and connects the clients; the
-  // previous Frontend, if any, is torn down first. Returns seconds.
+  void TearDown() { frontend_.reset(); }
+
+  // Builds the Frontend with all workers and connects the clients, after
+  // TearDown. Returns seconds.
   double SetUp() {
-    frontend_.reset();
     const int64_t start = NowNs();
     frontend_ = std::make_unique<fob::Frontend>(MakeTimedFactory(workload_),
                                                 fob::Frontend::Options{.workers = kWorkers});
@@ -166,13 +248,11 @@ class Bench {
   ClosedResult RunClosed(double seconds) {
     ClosedResult result;
     const Totals base = Sum();
+    const int64_t cpu_start = ProcessCpuNs();
     const int64_t start = NowNs();
     const int64_t end = start + static_cast<int64_t>(seconds * 1e9);
-    const int64_t slice_ns = (end - start) / kSlices;
-    int64_t slice_start = start;
-    Totals slice_base = base;
-    std::vector<double> slice_rps, slice_legit;
-    while (true) {
+    int64_t now = start;
+    while (now < end) {
       for (size_t c = 0; c < kClients; ++c) {
         const int64_t send_start = NowNs();
         while (checkers_[c].outstanding() < kWindow) {
@@ -181,28 +261,17 @@ class Bench {
         RecordMain(SpanKind::kSend, c, send_start);
       }
       PumpOnce();
-      ++result.pumps;
       for (size_t c = 0; c < kClients; ++c) {
         Drain(c, nullptr);
       }
-      const int64_t now = NowNs();
-      if (now - slice_start >= slice_ns || now >= end) {
-        const Totals totals = Sum();
-        const double elapsed = static_cast<double>(now - slice_start) / 1e9;
-        slice_rps.push_back(static_cast<double>(totals.answered - slice_base.answered) / elapsed);
-        slice_legit.push_back(
-            static_cast<double>(totals.legit_served - slice_base.legit_served) / elapsed);
-        slice_start = now;
-        slice_base = totals;
-      }
-      if (now >= end) {
-        break;
-      }
+      now = NowNs();
     }
+    const Totals totals = Sum();
+    result.seconds = static_cast<double>(now - start) / 1e9;
+    result.cpu_seconds = static_cast<double>(ProcessCpuNs() - cpu_start) / 1e9;
+    result.responses = totals.answered - base.answered;
+    result.legit_served = totals.legit_served - base.legit_served;
     Settle();
-    result.throughput_rps = Median(slice_rps);
-    result.legit_rps = Median(slice_legit);
-    result.responses = Sum().answered - base.answered;
     return result;
   }
 
@@ -213,10 +282,6 @@ class Bench {
     const int64_t start = NowNs();
     const int64_t end = start + static_cast<int64_t>(seconds * 1e9);
     int64_t due = start + gap();
-    // (time, requests waiting) before every pump: a backlog that keeps
-    // growing means the offered rate is above capacity.
-    std::vector<std::pair<int64_t, size_t>> backlog;
-    std::vector<std::pair<int64_t, double>> latency;  // (due, us)
     while (true) {
       int64_t now = NowNs();
       while (due <= now && due < end) {
@@ -238,35 +303,14 @@ class Bench {
         }
         continue;
       }
-      backlog.emplace_back(now, waiting);
+      result.backlog.emplace_back(
+          static_cast<double>(now - start) / static_cast<double>(end - start), waiting);
       PumpOnce();
       for (size_t c = 0; c < kClients; ++c) {
-        Drain(c, &latency);
+        Drain(c, &result.latency_us);
       }
     }
     Settle();
-    const size_t windows = std::clamp<size_t>(
-        static_cast<size_t>(workload_.offered_rps * seconds / kWindowSamples), 1, kMaxWindows);
-    result.latency_us.resize(windows);
-    for (const auto& [due, us] : latency) {
-      result.latency_us[std::min<size_t>(windows - 1,
-                                         static_cast<size_t>(windows * (due - start) /
-                                                             (end - start)))]
-          .push_back(us);
-    }
-    result.responses = latency.size();
-    // Mean backlog in the last quarter of the phase against the second.
-    double sum[4] = {0, 0, 0, 0};
-    size_t count[4] = {0, 0, 0, 0};
-    for (const auto& [time, waiting] : backlog) {
-      const size_t quarter = std::min<size_t>(3, static_cast<size_t>(4 * (time - start) / (end - start)));
-      sum[quarter] += static_cast<double>(waiting);
-      ++count[quarter];
-    }
-    const double second = count[1] > 0 ? sum[1] / static_cast<double>(count[1]) : 0.0;
-    const double last = count[3] > 0 ? sum[3] / static_cast<double>(count[3]) : 0.0;
-    result.backlog_growth = second > 0.0 ? last / second : 0.0;
-    result.overloaded = result.backlog_growth > 2.0 && last > 4.0 * kWindow;
     return result;
   }
 
@@ -311,8 +355,8 @@ class Bench {
   }
 
   // Reads and checks every response waiting for one client; with
-  // `latency`, records each one's due time and latency from it.
-  void Drain(size_t client, std::vector<std::pair<int64_t, double>>* latency) {
+  // `latency`, records each one's latency from its due time.
+  void Drain(size_t client, std::vector<double>* latency) {
     const int64_t start = NowNs();
     uint64_t lines = 0;
     while (true) {
@@ -323,7 +367,7 @@ class Bench {
       ++lines;
       const ClientChecker::Result result = checkers_[client].Receive(recv.line);
       if (latency != nullptr) {
-        latency->emplace_back(result.stamp, Us(start - result.stamp));
+        latency->push_back(Us(start - result.stamp));
       }
       if (!result.ok && diagnostics_ < kMaxDiagnostics) {
         ++diagnostics_;
@@ -389,16 +433,28 @@ class Bench {
   int diagnostics_ = 0;
 };
 
-// Metrics in print order: name -> (value, unit).
+// Metrics in print order: name -> (value, unit). A value that is not
+// finite (a figure whose denominator was 0: no Handle spans, no attacks, no
+// pumps) is printed as missing and fails the run.
 class Metrics {
  public:
   void Add(const std::string& name, double value, const std::string& unit,
            const std::string& note = "") {
-    entries_.push_back(Entry{name, value, unit, note});
+    entries_.push_back(Entry{name, value, unit, note, true});
+  }
+  // Printed with the others but left out of the JSON result.
+  void Show(const std::string& name, double value, const std::string& unit,
+            const std::string& note = "") {
+    entries_.push_back(Entry{name, value, unit, note, false});
+  }
+  bool complete() const {
+    return std::all_of(entries_.begin(), entries_.end(),
+                       [](const Entry& e) { return std::isfinite(e.value); });
   }
   void Print(std::ostream& out) const {
     for (const Entry& e : entries_) {
-      out << "  " << e.name << " = " << Format(e.value) << " " << e.unit;
+      out << "  " << e.name << " = "
+          << (std::isfinite(e.value) ? Format(e.value) + " " + e.unit : "MISSING");
       if (!e.note.empty()) {
         out << "  (" << e.note << ")";
       }
@@ -407,11 +463,14 @@ class Metrics {
   }
   std::string Json() const {
     std::ostringstream out;
+    const char* separator = "";
     out << "{";
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      out << (i == 0 ? "" : ", ") << "\"" << entries_[i].name
-          << "\": {\"value\": " << Format(entries_[i].value) << ", \"unit\": \""
-          << entries_[i].unit << "\"}";
+    for (const Entry& e : entries_) {
+      if (e.json) {
+        out << separator << "\"" << e.name << "\": {\"value\": " << Format(e.value)
+            << ", \"unit\": \"" << e.unit << "\"}";
+        separator = ", ";
+      }
     }
     out << "}";
     return out.str();
@@ -423,10 +482,11 @@ class Metrics {
     double value;
     std::string unit;
     std::string note;
+    bool json;
   };
   static std::string Format(double value) {
     if (!std::isfinite(value)) {
-      return "0";
+      return "null";
     }
     std::ostringstream out;
     out.precision(12);
@@ -446,17 +506,11 @@ std::string PercentileNote(const Percentile& p) {
   return out.str();
 }
 
-std::string WindowNote(const Percentile& p, size_t windows) {
-  return "median of " + std::to_string(windows) + " windows, " + PercentileNote(p);
-}
-
 void AddPercentile(Metrics& metrics, const std::string& name, const std::vector<double>& samples,
                    double q, const std::string& unit) {
   const Percentile p = TailPercentile(samples, q);
   metrics.Add(name, p.value, unit, PercentileNote(p));
 }
-
-double SafeDiv(double a, double b) { return b != 0.0 ? a / b : 0.0; }
 
 // Median ns per call of `fn` over passes of `count` calls.
 template <typename Fn>
@@ -550,19 +604,19 @@ void AddLayerMetrics(Metrics& metrics, const std::vector<Span>& spans, const Sna
 
   AddPercentile(metrics, "net.pump_us.p50", open_pump_us, 0.50, "us");
   AddPercentile(metrics, "net.pump_us.p99", open_pump_us, 0.99, "us");
-  metrics.Add("net.pump_self_us_per_req", SafeDiv(self_ns / 1e3, kreq * 1000.0), "us");
-  metrics.Add("net.lane_busy_ratio", SafeDiv(busy_total, kWorkers * pump_ns), "ratio");
-  metrics.Add("net.lane_imbalance", SafeDiv(busy_max, busy_total / kWorkers), "ratio");
-  metrics.Add("net.reqs_per_pump", SafeDiv(static_cast<double>(closed_responses), pumps), "count");
+  metrics.Add("net.pump_self_us_per_req", self_ns / 1e3 / static_cast<double>(closed_responses),
+              "us");
+  metrics.Add("net.lane_busy_ratio", busy_total / (kWorkers * pump_ns), "ratio");
+  metrics.Add("net.lane_imbalance", busy_max / (busy_total / kWorkers), "ratio");
+  metrics.Add("net.reqs_per_pump", static_cast<double>(closed_responses) / pumps, "count");
   metrics.Add("net.batches_per_pump",
-              SafeDiv(static_cast<double>(after.stats.batches - before.stats.batches), pumps),
+              static_cast<double>(after.stats.batches - before.stats.batches) / pumps,
               "count");
   metrics.Add("net.stolen_batches",
-              SafeDiv(static_cast<double>(after.stats.stolen_batches - before.stats.stolen_batches),
-                      kreq),
+              static_cast<double>(after.stats.stolen_batches - before.stats.stolen_batches) / kreq,
               "1/kreq");
   metrics.Add("net.requeued",
-              SafeDiv(static_cast<double>(after.stats.requeued - before.stats.requeued), kreq),
+              static_cast<double>(after.stats.requeued - before.stats.requeued) / kreq,
               "1/kreq");
   metrics.Add("net.max_lane_depth", static_cast<double>(after.stats.max_lane_depth), "count");
   AddPercentile(metrics, "apps.handle_us.legit.p50", handle_us[0], 0.50, "us");
@@ -570,20 +624,21 @@ void AddLayerMetrics(Metrics& metrics, const std::vector<Span>& spans, const Sna
   AddPercentile(metrics, "apps.handle_us.attack.p50", handle_us[1], 0.50, "us");
   AddPercentile(metrics, "apps.handle_us.attack.p99", handle_us[1], 0.99, "us");
   const double handled = static_cast<double>(handles);
-  metrics.Add("runtime.accesses_per_req", SafeDiv(static_cast<double>(accesses), handled),
+  metrics.Add("runtime.accesses_per_req", static_cast<double>(accesses) / handled,
               "count");
   metrics.Add("runtime.fastpath_hit_ratio",
-              SafeDiv(static_cast<double>(hits), static_cast<double>(hits + misses)), "ratio");
+              static_cast<double>(hits) / static_cast<double>(hits + misses), "ratio");
   metrics.Add("runtime.errors_per_attack",
-              SafeDiv(static_cast<double>(attack_errors), static_cast<double>(attacks)), "count");
-  metrics.Add("runtime.attack_us_per_kerror",
-              SafeDiv(attack_ns / 1e3, static_cast<double>(attack_errors) / 1000.0), "us");
-  metrics.Add("runtime.log_dropped", SafeDiv(static_cast<double>(dropped), handled), "1/req");
+              static_cast<double>(attack_errors) / static_cast<double>(attacks), "count");
+  // Attack time in us per 1,000 errors is its time in ns per error.
+  metrics.Add("runtime.attack_us_per_kerror", attack_ns / static_cast<double>(attack_errors),
+              "us");
+  metrics.Add("runtime.log_dropped", static_cast<double>(dropped) / handled, "1/req");
   AddPercentile(metrics, "runtime.worker_construct_ms.p50", construct_ms, 0.50, "ms");
   metrics.Add("runtime.restarts_per_kreq",
-              SafeDiv(static_cast<double>(after.restarts - before.restarts), kreq), "1/kreq");
-  metrics.Add("runtime.restart_share", SafeDiv(construct_ns, busy_total), "ratio");
-  metrics.Add("softmem.units_registered_per_req", SafeDiv(static_cast<double>(units), handled),
+              static_cast<double>(after.restarts - before.restarts) / kreq, "1/kreq");
+  metrics.Add("runtime.restart_share", construct_ns / busy_total, "ratio");
+  metrics.Add("softmem.units_registered_per_req", static_cast<double>(units) / handled,
               "count");
 }
 
@@ -591,17 +646,19 @@ int Run(const Workload& workload, const Args& args) {
   Bench bench(workload, args);
   const double s = args.seconds;
 
-  // Set-up, timed several times; the first one, in a fresh process, also
-  // gives the RSS set-up adds. The last Frontend serves the run.
+  // Set-up, timed several times, each after tearing the previous Frontend
+  // down; the last Frontend serves the run. Only the first, in a fresh
+  // process, adds RSS: the later ones reuse the memory the allocator kept.
   trace::SetPhase(Phase::kSetup);
   trace::Enable(args.trace);
   std::vector<double> setup_s;
   double setup_rss_kb = 0.0;
   for (int rep = 0; rep < kSetupReps; ++rep) {
-    const double rss_before = PeakRssKb();
+    bench.TearDown();
+    const double rss_before = CurrentRssKb();
     setup_s.push_back(bench.SetUp());
     if (rep == 0) {
-      setup_rss_kb = PeakRssKb() - rss_before;
+      setup_rss_kb = CurrentRssKb() - rss_before;
     }
   }
   trace::Enable(false);
@@ -627,45 +684,78 @@ int Run(const Workload& workload, const Args& args) {
             << " window " << kWindow << " offered_rps " << workload.offered_rps
             << " hardware_concurrency " << std::thread::hardware_concurrency() << "\n";
 
-  // The open loop runs first, after an open-loop warm-up, so the requests
-  // each worker has served before and during it (and with them the growth
-  // of its object table and heap) depend on the seed alone, not on how fast
-  // an earlier phase ran.
   bench.RunOpen(0.1 * s);  // warm-up: checked, not reported
-  bool overloaded = false;
+  Backlog backlog;
   if (!args.trace) {
-    trace::SetPhase(Phase::kOpen);
-    const OpenResult open = bench.RunOpen(0.5 * s);
-    overloaded = open.overloaded;
-    trace::SetPhase(Phase::kClosed);
-    const ClosedResult closed = bench.RunClosed(0.4 * s);
-    metrics.Add("throughput_rps", closed.throughput_rps, "req/s",
-                "median of " + std::to_string(kSlices) + " slices");
-    metrics.Add("legit_rps", closed.legit_rps, "req/s");
-    const Percentile p50 = MedianOfWindows(open.latency_us, 0.50);
-    const Percentile p99 = MedianOfWindows(open.latency_us, 0.99);
-    metrics.Add("lat_p50_us", p50.value, "us", WindowNote(p50, open.latency_us.size()));
-    metrics.Add("lat_p99_us", p99.value, "us", WindowNote(p99, open.latency_us.size()));
-    metrics.Add("setup_s", Median(setup_s), "s", "median of " + std::to_string(kSetupReps));
-    metrics.Add("setup_rss_mb", setup_rss_kb / 1024.0, "MB", "peak RSS added by the first");
-    std::cout << "closed loop: " << closed.responses << " responses in " << closed.pumps
-              << " pumps; open loop: " << open.responses << " responses, "
-              << "gen_late_us p99 " << TailPercentile(open.gen_late_us, 0.99).value
-              << ", backlog growth " << open.backlog_growth << "\n";
-    std::cout << "open-loop windows, p50/p99 us:";
-    for (const std::vector<double>& window : open.latency_us) {
-      std::cout << " " << TailPercentile(window, 0.5).value << "/"
-                << TailPercentile(window, 0.99).value;
+    std::vector<OpenResult> open(kRounds);
+    std::vector<ClosedResult> closed(kRounds);
+    std::vector<double> open_steal(kRounds), closed_steal(kRounds);
+    const double round_s = 0.9 * s / kRounds;
+    for (size_t r = 0; r < kRounds; ++r) {
+      const CpuTicks t0 = ReadCpuTicks();
+      open[r] = bench.RunOpen(0.55 * round_s);
+      const CpuTicks t1 = ReadCpuTicks();
+      closed[r] = bench.RunClosed(0.45 * round_s);
+      const CpuTicks t2 = ReadCpuTicks();
+      open_steal[r] = StealShare(t0, t1);
+      closed_steal[r] = StealShare(t1, t2);
     }
-    std::cout << "\n";
+    std::vector<double> latency_us, rps, legit_rps, cpu_us;
+    double kept_steal = 0.0;
+    for (size_t r : QuietestRounds(open_steal, kQuietRounds)) {
+      latency_us.insert(latency_us.end(), open[r].latency_us.begin(), open[r].latency_us.end());
+      kept_steal = std::max(kept_steal, open_steal[r]);
+    }
+    for (size_t r : QuietestRounds(closed_steal, kQuietRounds)) {
+      rps.push_back(closed[r].throughput_rps());
+      legit_rps.push_back(closed[r].legit_rps());
+      cpu_us.push_back(closed[r].cpu_us_per_req());
+      kept_steal = std::max(kept_steal, closed_steal[r]);
+    }
+    std::vector<const OpenResult*> segments;
+    for (const OpenResult& segment : open) {
+      segments.push_back(&segment);
+    }
+    backlog = BacklogOf(segments);
+
+    const std::string kept = "of the " + std::to_string(kQuietRounds) + " least-stolen of " +
+                             std::to_string(kRounds) + " rounds";
+    metrics.Add("cpu_us_per_req", Median(cpu_us), "us", "median " + kept);
+    metrics.Add("setup_s", Median(setup_s), "s", "median of " + std::to_string(kSetupReps));
+    metrics.Add("setup_rss_mb", setup_rss_kb / 1024.0, "MB", "RSS added by the first");
+    // Wall-clock rates and latencies move with the host's steal far more
+    // than with the program, so they are shown here and reported, without
+    // a bound, by the traced run.
+    metrics.Show("throughput_rps", Median(rps), "req/s", "median " + kept);
+    metrics.Show("legit_rps", Median(legit_rps), "req/s", "median " + kept);
+    const Percentile p50 = TailPercentile(latency_us, 0.50);
+    const Percentile p99 = TailPercentile(latency_us, 0.99);
+    metrics.Show("lat_p50_us", p50.value, "us", PercentileNote(p50) + " " + kept);
+    metrics.Show("lat_p99_us", p99.value, "us", PercentileNote(p99) + " " + kept);
+    std::cout << "rounds: host steal % open/closed, open p50/p99 us, closed req/s, cpu us/req:\n";
+    for (size_t r = 0; r < kRounds; ++r) {
+      std::cout << "  " << r << ": " << 100.0 * open_steal[r] << "/" << 100.0 * closed_steal[r]
+                << "  " << TailPercentile(open[r].latency_us, 0.5).value << "/"
+                << TailPercentile(open[r].latency_us, 0.99).value << "  "
+                << closed[r].throughput_rps() << "  " << closed[r].cpu_us_per_req() << "\n";
+    }
+    std::cout << "backlog growth " << backlog.growth << "; host steal in the kept rounds up to "
+              << 100.0 * kept_steal << " %\n";
+    if (kept_steal > kStealWarning) {
+      std::cout << "WARNING: the host took up to " << 100.0 * kept_steal
+                << " % of CPU time even in the kept rounds; these figures are disturbed\n";
+    }
   } else {
-    const double rss_start = PeakRssKb();
     trace::SetPhase(Phase::kOpen);
     trace::Enable(true);
     const OpenResult open = bench.RunOpen(0.35 * s);
-    overloaded = open.overloaded;
+    backlog = BacklogOf({&open});
     trace::Enable(false);
+    // RSS growth of the program alone: untraced, current (not peak) RSS.
+    const double rss_start = CurrentRssKb();
     const ClosedResult untraced = bench.RunClosed(0.25 * s);
+    const double rss_growth =
+        (CurrentRssKb() - rss_start) / (static_cast<double>(untraced.responses) / 1000.0);
     trace::SetPhase(Phase::kClosed);
     trace::Enable(true);
     const Snapshot before = Take(bench.frontend());
@@ -674,15 +764,12 @@ int Run(const Workload& workload, const Args& args) {
     const ClosedResult closed = bench.RunClosed(0.25 * s);
     const Snapshot after = Take(bench.frontend());
     trace::Enable(false);
-    const double verify_ns_per_rsp = SafeDiv(static_cast<double>(bench.verify_ns() - verify_ns),
-                                             static_cast<double>(bench.verified() - verified));
+    const double verify_ns_per_rsp = static_cast<double>(bench.verify_ns() - verify_ns) /
+                                     static_cast<double>(bench.verified() - verified);
     size_t units_live = 0;
     for (size_t w = 0; w < kWorkers; ++w) {
       units_live += bench.frontend().pool().worker(w).memory().objects().live_count();
     }
-    const double rss_kreq =
-        static_cast<double>(open.responses + untraced.responses + closed.responses) / 1000.0;
-    const double rss_growth = SafeDiv(PeakRssKb() - rss_start, rss_kreq);
     const std::vector<Span> spans = trace::Collect();
 
     AddLayerMetrics(metrics, spans, before, after, closed.responses);
@@ -728,16 +815,20 @@ int Run(const Workload& workload, const Args& args) {
     metrics.Add("runtime.memory_construct_us", Median(memory_us), "us");
 
     const Totals totals = bench.Sum();
+    metrics.Add("throughput_rps", untraced.throughput_rps(), "req/s", "untraced closed loop");
+    metrics.Add("legit_rps", untraced.legit_rps(), "req/s", "untraced closed loop");
+    AddPercentile(metrics, "lat_p50_us", open.latency_us, 0.50, "us");
+    AddPercentile(metrics, "lat_p99_us", open.latency_us, 0.99, "us");
     AddPercentile(metrics, "client.gen_late_us.p99", open.gen_late_us, 0.99, "us");
     metrics.Add("client.verify_ns_per_rsp", verify_ns_per_rsp, "ns");
-    metrics.Add("client.lat_samples", static_cast<double>(open.responses), "count");
-    metrics.Add("client.backlog_growth", open.backlog_growth, "ratio");
-    metrics.Add("trace.overhead_ratio", SafeDiv(untraced.throughput_rps, closed.throughput_rps) - 1.0,
-                "ratio", "closed-loop throughput untraced / traced - 1");
+    metrics.Add("client.lat_samples", static_cast<double>(open.latency_us.size()), "count");
+    metrics.Add("client.backlog_growth", backlog.growth, "ratio");
+    metrics.Add("trace.overhead_ratio", closed.cpu_us_per_req() / untraced.cpu_us_per_req() - 1.0,
+                "ratio", "closed-loop CPU time per request traced / untraced - 1");
     metrics.Add("failed_ratio",
-                1.0 - SafeDiv(static_cast<double>(totals.served), static_cast<double>(totals.sent)),
+                1.0 - static_cast<double>(totals.served) / static_cast<double>(totals.sent),
                 "ratio");
-    metrics.Add("rss_growth_kb_per_kreq", rss_growth, "KB", "peak RSS, after warm-up");
+    metrics.Add("rss_growth_kb_per_kreq", rss_growth, "KB", "current RSS, untraced closed loop");
     std::cout << "traced: " << spans.size() << " spans; sink " << (sink & 1) << "\n";
     if (!args.trace_out.empty() && !trace::WriteTsv(args.trace_out, spans)) {
       std::cerr << "could not write " << args.trace_out << "\n";
@@ -749,13 +840,15 @@ int Run(const Workload& workload, const Args& args) {
   const bool fo = workload.policy == fob::AccessPolicy::kFailureOblivious;
   // Under Failure Oblivious every request must be served; under Bounds
   // Check an attack's expected answer is the crash response.
-  const bool correct = totals.check_failures == 0 && (!fo || totals.served == totals.sent);
-  if (overloaded) {
+  const bool correct = totals.check_failures == 0 && (!fo || totals.served == totals.sent) &&
+                       metrics.complete();
+  if (backlog.overloaded) {
     std::cout << "WARNING: open-loop backlog still growing at the end of the phase: the offered "
               << workload.offered_rps << " req/s is above capacity\n";
   }
   std::cout << "requests " << totals.sent << ", served " << totals.served << ", check failures "
-            << totals.check_failures << (correct ? "" : "  CHECK FAILED") << "\n";
+            << totals.check_failures << (metrics.complete() ? "" : ", metrics missing")
+            << (correct ? "" : "  CHECK FAILED") << "\n";
   metrics.Print(std::cout);
   std::cout << "{\"correct\": " << (correct ? "true" : "false")
             << ", \"attempted\": " << totals.sent << ", \"failed\": " << totals.check_failures

@@ -1,5 +1,6 @@
 // Tests of the serving benchmark's own machinery: seeded generation, the
-// percentile rule, self time, the response checker and crash-safe spans.
+// percentile rule, round selection, self time, the response checker and
+// crash-safe spans.
 
 #include <gtest/gtest.h>
 
@@ -69,6 +70,13 @@ TEST(Percentile, LoweredWhenTooFewSamplesBeyond) {
   Percentile tiny = TailPercentile(OneTo(5), 0.99);
   EXPECT_FALSE(tiny.supported);
   EXPECT_EQ(TailPercentile({}, 0.5).n, 0u);
+}
+
+TEST(QuietestRounds, KeepsLeastStolenInRoundOrder) {
+  EXPECT_EQ(QuietestRounds({0.10, 0.01, 0.30, 0.02, 0.05}, 3), (std::vector<size_t>{1, 3, 4}));
+  EXPECT_EQ(QuietestRounds({0.0, 0.0, 0.0, 0.0}, 2), (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(QuietestRounds({0.2, 0.1}, 5), (std::vector<size_t>{0, 1}));
+  EXPECT_TRUE(QuietestRounds({}, 3).empty());
 }
 
 TEST(SelfTime, OverlappingChildrenCountOnce) {

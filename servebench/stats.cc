@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 namespace servebench {
 
@@ -23,20 +24,14 @@ Percentile TailPercentile(std::vector<double> samples, double q) {
   return result;
 }
 
-Percentile MedianOfWindows(const std::vector<std::vector<double>>& windows, double q) {
-  Percentile result;
-  result.q = 1.0;
-  result.supported = !windows.empty();
-  std::vector<double> values;
-  for (const std::vector<double>& window : windows) {
-    const Percentile p = TailPercentile(window, q);
-    values.push_back(p.value);
-    result.q = std::min(result.q, p.q);
-    result.n += p.n;
-    result.supported = result.supported && p.supported;
-  }
-  result.value = Median(values);
-  return result;
+std::vector<size_t> QuietestRounds(const std::vector<double>& steal, size_t keep) {
+  std::vector<size_t> order(steal.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return steal[a] < steal[b]; });
+  order.resize(std::min(keep, order.size()));
+  std::sort(order.begin(), order.end());
+  return order;
 }
 
 double Median(std::vector<double> values) {

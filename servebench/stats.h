@@ -23,11 +23,10 @@ struct Percentile {
 // reported as their p98.
 Percentile TailPercentile(std::vector<double> samples, double q);
 
-// TailPercentile of each window, then the median across windows: a run
-// reports the percentile of its typical window, so one disturbed window
-// does not move it. `q` of the result is the lowest any window reported;
-// `n` counts every sample.
-Percentile MedianOfWindows(const std::vector<std::vector<double>>& windows, double q);
+// Indices, in ascending order, of the `keep` rounds with the least host
+// steal (`steal[i]` is round i's share of CPU time the host took away);
+// among equal shares the earlier round is kept.
+std::vector<size_t> QuietestRounds(const std::vector<double>& steal, size_t keep);
 
 double Median(std::vector<double> values);
 
