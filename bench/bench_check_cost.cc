@@ -18,18 +18,22 @@
 //     accesses over a 1 MiB arena: dist 0 is a uniform data-dependent
 //     pointer chase (a Sattolo cycle, memcached-style hash probing), dist 1
 //     is a Zipf(s=1.2) offset stream (hot-key skew). Also fast-path regime;
-//     exercises page-map lookups across many pages plus the multi-entry
-//     translation cache.
+//     exercises page-map lookups and base + offset translation across many
+//     pages.
 //   * BM_ResidentProbeFailureOblivious/N — scalar reads scattered over the
 //     packed 48-byte resident blocks themselves: every page is mixed, so
 //     this pins the slow tier's population curve (the pre-fast-path cost
 //     model). Deliberately named outside the perf-smoke pairing.
+//   * BM_MemoryConstruct — construct and destroy a default Memory: what a
+//     crashed worker's restart pays for its shard before the server's own
+//     initialization. The perf-smoke gate bounds it (--max-construct-us).
 //
-// Every benchmark emits the shard's fast-path counters for the timed region
-// as translation_hits / translation_misses / hit_rate, so the JSON carries
-// which tier actually served the accesses.
+// Every access benchmark emits the shard's fast-path counters for the timed
+// region as translation_hits / translation_misses / hit_rate, so the JSON
+// carries which tier actually served the accesses.
 //
-// Args: {live-blocks} or {live-blocks, dist}. Output unit: ns per access.
+// Args: {live-blocks} or {live-blocks, dist}. Output unit: ns per access (per
+// construction for BM_MemoryConstruct).
 
 #include <benchmark/benchmark.h>
 
@@ -243,6 +247,14 @@ void BM_ResidentProbeFailureOblivious(benchmark::State& state) {
   state.SetLabel("resident probe, " + std::to_string(blocks) + " live");
 }
 
+void BM_MemoryConstruct(benchmark::State& state) {
+  for (auto _ : state) {
+    Memory memory(AccessPolicy::kFailureOblivious);
+    benchmark::DoNotOptimize(&memory);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
 BENCHMARK(BM_CheckCostStandard)->Arg(16)->Arg(256)->Arg(4096);
 BENCHMARK(BM_CheckCostFailureOblivious)->Arg(16)->Arg(256)->Arg(4096);
 BENCHMARK(BM_CheckCostMixedSpec)->Arg(16)->Arg(256)->Arg(4096);
@@ -261,6 +273,7 @@ BENCHMARK(BM_CheckCostRandomFailureOblivious)
     ->Args({256, 1})
     ->Args({4096, 1});
 BENCHMARK(BM_ResidentProbeFailureOblivious)->Arg(16)->Arg(256)->Arg(4096);
+BENCHMARK(BM_MemoryConstruct);
 
 }  // namespace
 }  // namespace fob

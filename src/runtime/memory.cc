@@ -158,59 +158,41 @@ void Memory::BumpAccess() {
   }
 }
 
-bool Memory::TryFastRead(Ptr p, void* dst, size_t n) {
+uint8_t* Memory::FastPathTarget(Ptr p, size_t n) {
   if (n == 0 || p.unit == kInvalidUnit) {
-    return false;  // degenerate accesses keep their historical path
+    return nullptr;  // degenerate accesses keep their historical path
   }
   const PageMap::Entry* entry = shard_->page_map.Find(p.addr);
-  if (entry == nullptr || entry->data == nullptr || entry->owner != p.unit) {
-    ++shard_->translation_misses;
-    return false;
-  }
   // The owner invariant guarantees the unit is live; Lookup is a vector
   // index, not a search.
-  const DataUnit* unit = shard_->table.Lookup(p.unit);
-  if (!unit->Contains(p.addr, n)) {
+  uint8_t* host = nullptr;
+  if (entry != nullptr && entry->owner == p.unit &&
+      shard_->table.Lookup(p.unit)->Contains(p.addr, n)) {
+    host = shard_->space.Translate(p.addr, n);
+  }
+  if (host != nullptr) {
+    ++shard_->translation_hits;
+  } else {
     ++shard_->translation_misses;
+  }
+  return host;
+}
+
+bool Memory::TryFastRead(Ptr p, void* dst, size_t n) {
+  uint8_t* host = FastPathTarget(p, n);
+  if (host == nullptr) {
     return false;
   }
-  ++shard_->translation_hits;
-  size_t offset = static_cast<size_t>(p.addr - PageBaseOf(p.addr));
-  if (offset + n <= kPageSize) {
-    std::memcpy(dst, entry->data + offset, n);
-  } else {
-    // Straddles into the next page of the same unit; the multi-entry TLB
-    // absorbs the extra page translation.
-    bool ok = shard_->space.Read(p.addr, dst, n);
-    assert(ok && "in-bounds unit memory must be mapped");
-    (void)ok;
-  }
+  std::memcpy(dst, host, n);
   return true;
 }
 
 bool Memory::TryFastWrite(Ptr p, const void* src, size_t n) {
-  if (n == 0 || p.unit == kInvalidUnit) {
+  uint8_t* host = FastPathTarget(p, n);
+  if (host == nullptr) {
     return false;
   }
-  const PageMap::Entry* entry = shard_->page_map.Find(p.addr);
-  if (entry == nullptr || entry->data == nullptr || entry->owner != p.unit) {
-    ++shard_->translation_misses;
-    return false;
-  }
-  const DataUnit* unit = shard_->table.Lookup(p.unit);
-  if (!unit->Contains(p.addr, n)) {
-    ++shard_->translation_misses;
-    return false;
-  }
-  ++shard_->translation_hits;
-  size_t offset = static_cast<size_t>(p.addr - PageBaseOf(p.addr));
-  if (offset + n <= kPageSize) {
-    std::memcpy(entry->data + offset, src, n);
-  } else {
-    bool ok = shard_->space.Write(p.addr, src, n);
-    assert(ok && "in-bounds unit memory must be mapped");
-    (void)ok;
-  }
+  std::memcpy(host, src, n);
   return true;
 }
 

@@ -217,12 +217,6 @@ class Memory {
   // without replaying a whole workload.
   SiteId SiteForAccess(Ptr p, AccessKind kind) const;
 
-  // Region layout, re-exported from the shard (tests rely on the ordering
-  // globals < heap < stack).
-  static constexpr Addr kGlobalBase = Shard::kGlobalBase;
-  static constexpr Addr kHeapBase = Shard::kHeapBase;
-  static constexpr Addr kStackLow = Shard::kStackLow;
-
  private:
   friend class PolicyHandler;
   friend class AccessCursor;
@@ -237,6 +231,10 @@ class Memory {
   // caller falls into the interval-search tiers byte-identically.
   bool TryFastRead(Ptr p, void* dst, size_t n);
   bool TryFastWrite(Ptr p, const void* src, size_t n);
+  // The tier-1 decision shared by both: the host bytes of [p, p+n) on a hit
+  // (counted in translation_hits), nullptr on a miss (counted in
+  // translation_misses, except for degenerate accesses that never try).
+  uint8_t* FastPathTarget(Ptr p, size_t n);
   // Batched handling of a whole run of out-of-bounds-above bytes through one
   // live referent (the span clients' OOB tail: AccessCursor's slow branch).
   // Returns n if the run was handled — observably identical to the per-byte

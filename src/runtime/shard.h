@@ -77,10 +77,12 @@ struct ShardConfig {
 
 class Shard {
  public:
-  // Region layout (fixed; tests rely on the ordering globals < heap < stack).
-  static constexpr Addr kGlobalBase = 0x0000000000100000ull;
-  static constexpr Addr kHeapBase = 0x0000000010000000ull;
-  static constexpr Addr kStackLow = 0x00007fffff000000ull;
+  // Region layout: globals, heap and stack back to back from kGlobalBase, in
+  // that order (tests rely on globals < heap < stack), each followed by one
+  // unmapped guard page so running off a region's end faults. The heap and
+  // stack bases follow from the config's sizes; all three regions live in
+  // the space's single host reservation [kGlobalBase, reservation_end).
+  static constexpr Addr kGlobalBase = 0x100000;
 
   // `owner` is the Memory this shard backs: the policy table's handlers are
   // constructed against it. The constructor only stores the reference.
@@ -93,9 +95,12 @@ class Shard {
 
   ShardConfig config;
   std::unique_ptr<PolicyTable> policy_table;
-  // The O(1) address→unit translation layer. Declared before the space and
-  // table so it outlives both; the constructor attaches it to each before
-  // any region is mapped or unit registered, so every Map/Unmap and
+  const Addr heap_base;
+  const Addr stack_low;
+  const Addr reservation_end;
+  // The O(1) address→unit translation layer, one record per page of the
+  // reservation. Declared before the table so it outlives it; the
+  // constructor attaches it before any unit is registered, so every
   // Register/Retire in this bundle's lifetime flows through it and the map
   // can never skew from the state it summarizes.
   PageMap page_map;

@@ -1,24 +1,30 @@
-// Sparse simulated 64-bit address space.
+// Flat simulated address space over one host reservation.
 //
 // Every byte a "compiled" program can touch lives in an AddressSpace: the
 // heap, the call stack and global storage are all carved out of one of these.
-// Pages are 4 KiB and allocated lazily when a region is mapped. Reads and
-// writes report (rather than throw on) unmapped access so the policy layer
-// (src/runtime/memory.h) can decide whether that is a simulated SIGSEGV
+// A space covers one fixed window [base, base+size) of simulated addresses,
+// backed by a single host reservation (mmap with MAP_NORESERVE). The kernel
+// zero-fills each host page on first touch, so mapping a 16 MiB heap costs a
+// bitmap update, not 16 MiB of memset. Translation is host_base + (addr -
+// base); a per-page "mapped" bitmap decides which 4 KiB pages exist. Reads
+// and writes report (rather than throw on) unmapped access so the policy
+// layer (src/runtime/memory.h) can decide whether that is a simulated SIGSEGV
 // (Standard compilation) or something the checker already intercepted.
 //
-// Addresses below kNullGuardSize are never mappable, so null pointer
-// dereferences and small null-plus-offset dereferences fault like they do on
-// a real OS.
+// Addresses outside the window are never mappable. The window must start at
+// or above kNullGuardSize, so null pointer dereferences and small
+// null-plus-offset dereferences fault like they do on a real OS.
+//
+// In AddressSanitizer builds every unmapped page of the reservation is
+// poisoned, so a host memcpy that runs off a mapped page into a guard page
+// is reported even though it stays inside the reservation.
 
 #ifndef SRC_SOFTMEM_ADDRESS_SPACE_H_
 #define SRC_SOFTMEM_ADDRESS_SPACE_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
+#include <vector>
 
 namespace fob {
 
@@ -34,20 +40,30 @@ inline constexpr Addr PageBaseOf(Addr addr) {
   return addr & ~static_cast<Addr>(kPageSize - 1);
 }
 
-class PageMap;
+// size rounded up to whole pages.
+inline constexpr size_t PageRoundUp(size_t size) {
+  return (size + kPageSize - 1) & ~(kPageSize - 1);
+}
 
 class AddressSpace {
  public:
-  AddressSpace() = default;
+  // Reserves the window [base, base + size), rounded up to whole pages;
+  // nothing is mapped yet. base must be page aligned and at or above
+  // kNullGuardSize. Throws std::bad_alloc if the host refuses the
+  // reservation.
+  AddressSpace(Addr base, size_t size);
+  ~AddressSpace();
   AddressSpace(const AddressSpace&) = delete;
   AddressSpace& operator=(const AddressSpace&) = delete;
 
-  // Maps all pages overlapping [base, base+size). New pages are zero filled.
-  // Mapping an already-mapped page is a no-op (contents preserved). Attempts
-  // to map inside the null guard are ignored.
+  // Maps all pages overlapping [base, base+size). New pages read as zero.
+  // Mapping an already-mapped page is a no-op (contents preserved). Pages
+  // outside the window are ignored.
   void Map(Addr base, size_t size);
 
-  // Unmaps all pages fully contained in [base, base+size).
+  // Unmaps all pages fully contained in [base, base+size). Their host pages
+  // go back to the kernel (madvise MADV_DONTNEED), so a later Map of the
+  // same page reads zeros again.
   void Unmap(Addr base, size_t size);
 
   // True iff every byte of [addr, addr+size) is mapped.
@@ -63,38 +79,43 @@ class AddressSpace {
   // memset over simulated memory; same unmapped semantics as Write.
   [[nodiscard]] bool Fill(Addr addr, uint8_t value, size_t n);
 
-  size_t mapped_bytes() const { return pages_.size() * kPageSize; }
-  size_t page_count() const { return pages_.size(); }
-
-  // Attaches the page-granular translation map (src/softmem/page_map.h) this
-  // space notifies on Map/Unmap; existing pages are reported immediately, so
-  // attach order relative to mapping does not matter. One map per space
-  // (fob::Shard attaches its own at construction); pass nullptr to detach.
-  void AttachPageMap(PageMap* map);
-
- private:
-  // Direct-mapped multi-entry translation cache (a software TLB): most
-  // access streams touch a small working set of pages, and real compiled
-  // code pays nothing for address translation — this keeps the unchecked
-  // Standard policy's cost model honest, and unlike the old 1-slot cache it
-  // survives strided and multi-buffer access patterns. Page data pointers
-  // are stable across map rehashes, so slots only need invalidation on
-  // Unmap.
-  static constexpr size_t kTranslationSlots = 64;
-  struct TranslationSlot {
-    Addr page = ~static_cast<Addr>(0);
-    uint8_t* data = nullptr;
-  };
-  static size_t SlotIndex(Addr page_base) {
-    return static_cast<size_t>(page_base / kPageSize) % kTranslationSlots;
+  // Host address of [addr, addr+n) if every byte of it is mapped (n == 0
+  // counts as one byte), else nullptr. Contiguous across pages.
+  uint8_t* Translate(Addr addr, size_t n) const {
+    size_t len = n == 0 ? 1 : n;
+    return MappedPrefix(addr, len) == len ? host_ + (addr - base_) : nullptr;
   }
 
-  uint8_t* PageData(Addr page_base);
-  const uint8_t* PageData(Addr page_base) const;
+  Addr base() const { return base_; }
+  Addr end() const { return base_ + size_; }
+  size_t mapped_bytes() const { return mapped_pages_ * kPageSize; }
+  size_t page_count() const { return mapped_pages_; }
 
-  std::unordered_map<Addr, std::unique_ptr<uint8_t[]>> pages_;
-  mutable std::array<TranslationSlot, kTranslationSlots> tlb_{};
-  PageMap* page_map_ = nullptr;
+ private:
+  bool PageMapped(size_t page) const { return (mapped_[page / 64] >> (page % 64)) & 1; }
+  // How many bytes of [addr, addr+n) are mapped, counted from addr up to the
+  // first unmapped page. n > 0.
+  size_t MappedPrefix(Addr addr, size_t n) const {
+    size_t offset = static_cast<size_t>(addr - base_);  // wraps below base_
+    if (offset >= size_) {
+      return 0;
+    }
+    size_t limit = n < size_ - offset ? n : size_ - offset;
+    size_t first = offset / kPageSize;
+    size_t last = (offset + limit - 1) / kPageSize;
+    for (size_t page = first; page <= last; ++page) {
+      if (!PageMapped(page)) {
+        return page == first ? 0 : page * kPageSize - offset;
+      }
+    }
+    return limit;
+  }
+
+  Addr base_;
+  size_t size_;
+  uint8_t* host_;
+  std::vector<uint64_t> mapped_;  // one bit per page of the window
+  size_t mapped_pages_ = 0;
 };
 
 }  // namespace fob

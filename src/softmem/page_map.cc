@@ -3,56 +3,34 @@
 namespace fob {
 
 template <typename Fn>
-void PageMap::ForEachPageOf(const DataUnit& unit, Fn&& fn) {
+void PageMap::ForEachEntryOf(const DataUnit& unit, Fn&& fn) {
   size_t span = unit.size == 0 ? 1 : unit.size;
   Addr first = PageBaseOf(unit.base);
   Addr last = PageBaseOf(unit.base + span - 1);
   for (Addr page = first;; page += kPageSize) {
-    fn(page);
+    size_t index = static_cast<size_t>(page - base_) / kPageSize;
+    if (index < entries_.size()) {
+      fn(page, entries_[index]);
+    }
     if (page == last) {
       break;
     }
   }
 }
 
-void PageMap::OnPageMapped(Addr page_base, uint8_t* data) {
-  entries_[page_base].data = data;
-}
-
-void PageMap::OnPageUnmapped(Addr page_base) {
-  auto it = entries_.find(page_base);
-  if (it == entries_.end()) {
-    return;
-  }
-  it->second.data = nullptr;
-  if (it->second.overlaps == 0) {
-    entries_.erase(it);
-  }
-}
-
 void PageMap::OnUnitRegistered(const DataUnit& unit) {
-  ForEachPageOf(unit, [&](Addr page) {
-    Entry& entry = entries_[page];
+  ForEachEntryOf(unit, [&](Addr, Entry& entry) {
     ++entry.overlaps;
     entry.owner = entry.overlaps == 1 ? unit.id : kInvalidUnit;
   });
 }
 
 void PageMap::OnUnitRetired(const DataUnit& unit, const ObjectTable& table) {
-  ForEachPageOf(unit, [&](Addr page) {
-    auto it = entries_.find(page);
-    if (it == entries_.end() || it->second.overlaps == 0) {
+  ForEachEntryOf(unit, [&](Addr page, Entry& entry) {
+    if (entry.overlaps == 0) {
       return;  // unit registered before the map attached; nothing tracked
     }
-    Entry& entry = it->second;
     --entry.overlaps;
-    if (entry.overlaps == 0) {
-      entry.owner = kInvalidUnit;
-      if (entry.data == nullptr) {
-        entries_.erase(it);
-      }
-      return;
-    }
     if (entry.overlaps == 1) {
       // The page just dropped back to a single live unit: refresh the owner
       // so a previously mixed page re-earns the fast path. This search is
@@ -73,11 +51,6 @@ UnitId PageMap::OwnerOf(Addr addr) const {
 uint32_t PageMap::OverlapCount(Addr addr) const {
   const Entry* entry = Find(addr);
   return entry == nullptr ? 0 : entry->overlaps;
-}
-
-bool PageMap::HasData(Addr addr) const {
-  const Entry* entry = Find(addr);
-  return entry != nullptr && entry->data != nullptr;
 }
 
 }  // namespace fob

@@ -1,25 +1,32 @@
 #include "src/softmem/address_space.h"
 
 #include <gtest/gtest.h>
+#include <sanitizer/asan_interface.h>
 
 #include <cstring>
 #include <string>
 
-#include "src/softmem/page_map.h"
-
 namespace fob {
 namespace {
 
-TEST(AddressSpaceTest, UnmappedByDefault) {
-  AddressSpace space;
-  EXPECT_FALSE(space.IsMapped(0x100000, 1));
+// Every space below reserves this 1 MiB window.
+constexpr Addr kWindow = 0x100000;
+constexpr size_t kWindowSize = 1 << 20;
+
+class AddressSpaceTest : public ::testing::Test {
+ protected:
+  AddressSpace space{kWindow, kWindowSize};
+};
+
+TEST_F(AddressSpaceTest, UnmappedByDefault) {
+  EXPECT_FALSE(space.IsMapped(kWindow, 1));
   uint8_t byte = 0;
-  EXPECT_FALSE(space.Read(0x100000, &byte, 1));
-  EXPECT_FALSE(space.Write(0x100000, &byte, 1));
+  EXPECT_FALSE(space.Read(kWindow, &byte, 1));
+  EXPECT_FALSE(space.Write(kWindow, &byte, 1));
+  EXPECT_EQ(space.page_count(), 0u);
 }
 
-TEST(AddressSpaceTest, MapThenReadWrite) {
-  AddressSpace space;
+TEST_F(AddressSpaceTest, MapThenReadWrite) {
   space.Map(0x100000, 4096);
   EXPECT_TRUE(space.IsMapped(0x100000, 4096));
   uint32_t value = 0xdeadbeef;
@@ -29,29 +36,43 @@ TEST(AddressSpaceTest, MapThenReadWrite) {
   EXPECT_EQ(readback, 0xdeadbeefu);
 }
 
-TEST(AddressSpaceTest, FreshPagesAreZero) {
-  AddressSpace space;
-  space.Map(0x200000, kPageSize);
+TEST_F(AddressSpaceTest, FreshPagesAreZero) {
+  space.Map(0x180000, kPageSize);
   uint8_t buf[64];
   std::memset(buf, 0xff, sizeof(buf));
-  ASSERT_TRUE(space.Read(0x200000, buf, sizeof(buf)));
+  ASSERT_TRUE(space.Read(0x180000, buf, sizeof(buf)));
   for (uint8_t b : buf) {
     EXPECT_EQ(b, 0);
   }
 }
 
-TEST(AddressSpaceTest, NullGuardNeverMaps) {
-  AddressSpace space;
+TEST_F(AddressSpaceTest, NullGuardNeverMaps) {
   space.Map(0, kNullGuardSize);
   EXPECT_FALSE(space.IsMapped(0, 1));
   EXPECT_FALSE(space.IsMapped(kNullGuardSize - 1, 1));
   uint8_t byte = 7;
   EXPECT_FALSE(space.Write(0, &byte, 1));
   EXPECT_FALSE(space.Write(8, &byte, 1));
+  EXPECT_EQ(space.page_count(), 0u);
 }
 
-TEST(AddressSpaceTest, CrossPageAccess) {
-  AddressSpace space;
+// Only pages inside the reservation can be mapped; a Map straddling either
+// edge maps just the covered part.
+TEST_F(AddressSpaceTest, PagesOutsideTheWindowNeverMap) {
+  space.Map(kWindow - kPageSize, 2 * kPageSize);
+  space.Map(kWindow + kWindowSize - kPageSize, 2 * kPageSize);
+  EXPECT_EQ(space.page_count(), 2u);
+  EXPECT_FALSE(space.IsMapped(kWindow - 1, 1));
+  EXPECT_TRUE(space.IsMapped(kWindow, 1));
+  EXPECT_TRUE(space.IsMapped(kWindow + kWindowSize - 1, 1));
+  EXPECT_FALSE(space.IsMapped(kWindow + kWindowSize, 1));
+  uint8_t bytes[2] = {1, 2};
+  EXPECT_FALSE(space.Write(kWindow + kWindowSize - 1, bytes, 2));
+  EXPECT_EQ(space.base(), kWindow);
+  EXPECT_EQ(space.end(), kWindow + kWindowSize);
+}
+
+TEST_F(AddressSpaceTest, CrossPageAccess) {
   space.Map(0x100000, 2 * kPageSize);
   std::string data(kPageSize, 'x');
   Addr addr = 0x100000 + kPageSize - 100;  // straddles the page boundary
@@ -61,17 +82,32 @@ TEST(AddressSpaceTest, CrossPageAccess) {
   EXPECT_EQ(readback, data);
 }
 
-TEST(AddressSpaceTest, AccessStraddlingUnmappedPageFails) {
-  AddressSpace space;
+TEST_F(AddressSpaceTest, AccessStraddlingUnmappedPageFails) {
   space.Map(0x100000, kPageSize);  // only the first page
   std::string data(200, 'y');
   Addr addr = 0x100000 + kPageSize - 100;
   EXPECT_FALSE(space.Write(addr, data.data(), data.size()));
   EXPECT_FALSE(space.IsMapped(addr, 200));
+  std::string readback(200, '\0');
+  EXPECT_FALSE(space.Read(addr, readback.data(), readback.size()));
 }
 
-TEST(AddressSpaceTest, MapIsIdempotentAndPreservesContents) {
-  AddressSpace space;
+// A faulting write lands its mapped prefix, as a byte-at-a-time store would
+// before the fault.
+TEST_F(AddressSpaceTest, FailedWriteLandsMappedPrefix) {
+  space.Map(0x100000, kPageSize);
+  std::string data(200, 'y');
+  Addr addr = 0x100000 + kPageSize - 100;
+  EXPECT_FALSE(space.Write(addr, data.data(), data.size()));
+  std::string prefix(100, '\0');
+  ASSERT_TRUE(space.Read(addr, prefix.data(), prefix.size()));
+  EXPECT_EQ(prefix, std::string(100, 'y'));
+  EXPECT_FALSE(space.Fill(addr, 'z', 200));
+  ASSERT_TRUE(space.Read(addr, prefix.data(), prefix.size()));
+  EXPECT_EQ(prefix, std::string(100, 'z'));
+}
+
+TEST_F(AddressSpaceTest, MapIsIdempotentAndPreservesContents) {
   space.Map(0x100000, kPageSize);
   uint8_t v = 42;
   ASSERT_TRUE(space.Write(0x100123, &v, 1));
@@ -79,20 +115,20 @@ TEST(AddressSpaceTest, MapIsIdempotentAndPreservesContents) {
   uint8_t readback = 0;
   ASSERT_TRUE(space.Read(0x100123, &readback, 1));
   EXPECT_EQ(readback, 42);
+  EXPECT_EQ(space.page_count(), 1u);
 }
 
-TEST(AddressSpaceTest, UnmapRemovesWholePagesOnly) {
-  AddressSpace space;
+TEST_F(AddressSpaceTest, UnmapRemovesWholePagesOnly) {
   space.Map(0x100000, 3 * kPageSize);
   // Partial-page unmap range: only the fully covered middle page goes away.
   space.Unmap(0x100000 + 100, 2 * kPageSize);
   EXPECT_TRUE(space.IsMapped(0x100000, 1));
   EXPECT_FALSE(space.IsMapped(0x100000 + kPageSize, 1));
   EXPECT_TRUE(space.IsMapped(0x100000 + 2 * kPageSize, 1));
+  EXPECT_EQ(space.page_count(), 2u);
 }
 
-TEST(AddressSpaceTest, FillSetsBytes) {
-  AddressSpace space;
+TEST_F(AddressSpaceTest, FillSetsBytes) {
   space.Map(0x100000, kPageSize * 2);
   ASSERT_TRUE(space.Fill(0x100000 + kPageSize - 8, 0xab, 16));  // cross-page
   uint8_t buf[16];
@@ -102,13 +138,12 @@ TEST(AddressSpaceTest, FillSetsBytes) {
   }
 }
 
-TEST(AddressSpaceTest, FillUnmappedFails) {
-  AddressSpace space;
-  EXPECT_FALSE(space.Fill(0x300000, 1, 4));
+TEST_F(AddressSpaceTest, FillUnmappedFails) {
+  EXPECT_FALSE(space.Fill(0x180000, 1, 4));  // inside the window
+  EXPECT_FALSE(space.Fill(0x300000, 1, 4));  // outside it
 }
 
-TEST(AddressSpaceTest, ZeroSizeOperations) {
-  AddressSpace space;
+TEST_F(AddressSpaceTest, ZeroSizeOperations) {
   space.Map(0x100000, 0);  // no-op
   EXPECT_EQ(space.page_count(), 0u);
   space.Map(0x100000, 1);
@@ -118,41 +153,48 @@ TEST(AddressSpaceTest, ZeroSizeOperations) {
   EXPECT_TRUE(space.Write(0x100000, &byte, 0));
 }
 
-TEST(AddressSpaceTest, MappedBytesAccounting) {
-  AddressSpace space;
+TEST_F(AddressSpaceTest, MappedBytesAccounting) {
   space.Map(0x100000, kPageSize + 1);  // rounds up to two pages
   EXPECT_EQ(space.mapped_bytes(), 2 * kPageSize);
+  space.Unmap(0x100000, kPageSize);
+  EXPECT_EQ(space.mapped_bytes(), kPageSize);
 }
 
-// Regression: the translation cache must not serve accesses through a page
-// that Unmap freed. Remapping the same page allocates fresh zeroed storage;
-// a stale cache entry would instead read the old (freed) data — or worse.
-TEST(AddressSpaceTest, UnmapInvalidatesTranslationCache) {
-  AddressSpace space;
+// Translation is base + offset: consecutive mapped pages are contiguous on
+// the host, and any unmapped byte in the range refuses translation.
+TEST_F(AddressSpaceTest, TranslateIsBasePlusOffset) {
+  space.Map(0x100000, 2 * kPageSize);
+  uint8_t* first = space.Translate(0x100000, 1);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(space.Translate(0x100000 + kPageSize + 10, 1), first + kPageSize + 10);
+  EXPECT_EQ(space.Translate(0x100000 + 10, 2 * kPageSize - 10), first + 10);
+  EXPECT_EQ(space.Translate(0x100000 + 10, 2 * kPageSize - 9), nullptr);
+  EXPECT_EQ(space.Translate(0x100000 + 2 * kPageSize, 1), nullptr);
+}
+
+// After Unmap the page's host memory goes back to the kernel (madvise
+// MADV_DONTNEED), so mapping it again reads zeros, never the old bytes.
+TEST_F(AddressSpaceTest, UnmapThenMapReadsZeros) {
   constexpr Addr kBase = 0x100000;
   space.Map(kBase, kPageSize);
   uint8_t value = 0x5a;
-  ASSERT_TRUE(space.Write(kBase + 17, &value, 1));  // warms the cache
+  ASSERT_TRUE(space.Write(kBase + 17, &value, 1));
   space.Unmap(kBase, kPageSize);
-  // The unmapped page must not be readable through the cache.
   uint8_t out = 0;
   EXPECT_FALSE(space.Read(kBase + 17, &out, 1));
   EXPECT_FALSE(space.Write(kBase + 17, &value, 1));
-  // A fresh mapping of the same page is zero filled; a stale cache entry
-  // would leak the 0x5a through the old allocation.
   space.Map(kBase, kPageSize);
   ASSERT_TRUE(space.Read(kBase + 17, &out, 1));
   EXPECT_EQ(out, 0);
 }
 
-// Unmapping one page must not drop translations for other pages, and an
-// unmap that only partially covers a page must leave it readable.
-TEST(AddressSpaceTest, UnmapIsPreciseAboutOtherPages) {
-  AddressSpace space;
+// Unmapping one page must not disturb other pages, and an unmap that only
+// partially covers a page must leave it readable.
+TEST_F(AddressSpaceTest, UnmapIsPreciseAboutOtherPages) {
   constexpr Addr kBase = 0x100000;
   space.Map(kBase, kPageSize * 2);
   uint8_t value = 0x7f;
-  ASSERT_TRUE(space.Write(kBase + kPageSize + 5, &value, 1));  // cache page 2
+  ASSERT_TRUE(space.Write(kBase + kPageSize + 5, &value, 1));
   space.Unmap(kBase, kPageSize);  // page 1 only
   uint8_t out = 0;
   ASSERT_TRUE(space.Read(kBase + kPageSize + 5, &out, 1));
@@ -164,46 +206,48 @@ TEST(AddressSpaceTest, UnmapIsPreciseAboutOtherPages) {
   EXPECT_TRUE(space.IsMapped(kBase, kPageSize));
 }
 
-// The direct-mapped translation cache holds 64 entries; pages 64 slots
-// apart conflict and must evict each other cleanly, and a warm cache over
-// many pages must keep every translation correct.
-TEST(AddressSpaceTest, TranslationCacheSurvivesConflictsAcrossManyPages) {
-  AddressSpace space;
+// The mapped bitmap packs 64 pages per word; pages on either side of a word
+// boundary must map, unmap and hold contents independently.
+TEST_F(AddressSpaceTest, BitmapKeepsPagesDistinctAcrossWords) {
   constexpr Addr kBase = 0x100000;
-  constexpr size_t kPages = 130;  // > 2x the cache's 64 slots
+  constexpr size_t kPages = 130;  // > 2 bitmap words
   space.Map(kBase, kPages * kPageSize);
   for (size_t i = 0; i < kPages; ++i) {
     uint8_t v = static_cast<uint8_t>(i);
     ASSERT_TRUE(space.Write(kBase + i * kPageSize + 7, &v, 1));
   }
-  // Re-read in an order that ping-pongs conflicting slots (i and i + 64).
-  for (size_t i = 0; i < kPages - 64; ++i) {
-    uint8_t a = 0xff;
-    uint8_t b = 0xff;
-    ASSERT_TRUE(space.Read(kBase + i * kPageSize + 7, &a, 1));
-    ASSERT_TRUE(space.Read(kBase + (i + 64) * kPageSize + 7, &b, 1));
-    EXPECT_EQ(a, static_cast<uint8_t>(i));
-    EXPECT_EQ(b, static_cast<uint8_t>(i + 64));
+  space.Unmap(kBase + 64 * kPageSize, kPageSize);  // first page of word 1
+  EXPECT_TRUE(space.IsMapped(kBase + 63 * kPageSize, kPageSize));
+  EXPECT_FALSE(space.IsMapped(kBase + 63 * kPageSize, kPageSize + 1));
+  EXPECT_TRUE(space.IsMapped(kBase + 65 * kPageSize, kPageSize));
+  for (size_t i = 0; i < kPages; ++i) {
+    uint8_t v = 0xff;
+    if (i == 64) {
+      EXPECT_FALSE(space.Read(kBase + i * kPageSize + 7, &v, 1));
+      continue;
+    }
+    ASSERT_TRUE(space.Read(kBase + i * kPageSize + 7, &v, 1));
+    EXPECT_EQ(v, static_cast<uint8_t>(i));
   }
+  EXPECT_EQ(space.page_count(), kPages - 1);
 }
 
-// An Unmap spanning several cached pages must drop every covered
-// translation, not just the first page's.
-TEST(AddressSpaceTest, UnmapSpanningManyCachedPages) {
-  AddressSpace space;
+// An Unmap spanning several bitmap words drops every covered page, and a
+// remap brings them all back zeroed.
+TEST_F(AddressSpaceTest, UnmapSpanningBitmapWords) {
   constexpr Addr kBase = 0x100000;
-  constexpr size_t kPages = 8;
+  constexpr size_t kPages = 200;
   space.Map(kBase, kPages * kPageSize);
   for (size_t i = 0; i < kPages; ++i) {
     uint8_t v = 0x5a;
-    ASSERT_TRUE(space.Write(kBase + i * kPageSize, &v, 1));  // warm each slot
+    ASSERT_TRUE(space.Write(kBase + i * kPageSize, &v, 1));
   }
   space.Unmap(kBase, kPages * kPageSize);
+  EXPECT_EQ(space.page_count(), 0u);
   for (size_t i = 0; i < kPages; ++i) {
     uint8_t out = 0;
     EXPECT_FALSE(space.Read(kBase + i * kPageSize, &out, 1));
   }
-  // Remap: all pages fresh and zeroed, none served from stale slots.
   space.Map(kBase, kPages * kPageSize);
   for (size_t i = 0; i < kPages; ++i) {
     uint8_t out = 0xff;
@@ -212,48 +256,22 @@ TEST(AddressSpaceTest, UnmapSpanningManyCachedPages) {
   }
 }
 
-// ---- Page-map coherence through Map/Unmap ---------------------------------
-
-TEST(AddressSpacePageMapTest, MapAndUnmapDrivePageRecords) {
-  AddressSpace space;
-  PageMap map;
-  space.AttachPageMap(&map);
-  constexpr Addr kBase = 0x100000;
-  space.Map(kBase, 2 * kPageSize);
-  EXPECT_TRUE(map.HasData(kBase));
-  EXPECT_TRUE(map.HasData(kBase + kPageSize + 99));
-  EXPECT_FALSE(map.HasData(kBase + 2 * kPageSize));
-  space.Unmap(kBase, kPageSize);
-  EXPECT_FALSE(map.HasData(kBase));
-  EXPECT_TRUE(map.HasData(kBase + kPageSize));
-}
-
-TEST(AddressSpacePageMapTest, AttachPopulatesExistingPages) {
-  AddressSpace space;
-  constexpr Addr kBase = 0x100000;
-  space.Map(kBase, kPageSize);
-  PageMap map;
-  space.AttachPageMap(&map);
-  EXPECT_TRUE(map.HasData(kBase));
-  EXPECT_FALSE(map.HasData(kBase + kPageSize));
-}
-
-TEST(AddressSpacePageMapTest, RemapRefreshesDataPointer) {
-  AddressSpace space;
-  PageMap map;
-  space.AttachPageMap(&map);
-  constexpr Addr kBase = 0x100000;
-  space.Map(kBase, kPageSize);
-  space.Unmap(kBase, kPageSize);
-  EXPECT_FALSE(map.HasData(kBase));
-  space.Map(kBase, kPageSize);
-  // The record must point at the fresh page's storage.
-  EXPECT_TRUE(map.HasData(kBase));
-  const PageMap::Entry* entry = map.Find(kBase);
-  ASSERT_NE(entry, nullptr);
-  uint8_t v = 0x42;
-  ASSERT_TRUE(space.Write(kBase + 5, &v, 1));
-  EXPECT_EQ(entry->data[5], 0x42);
+// In AddressSanitizer builds the unmapped pages of the reservation are
+// poisoned, so a host memcpy that runs off a mapped page is reported.
+TEST_F(AddressSpaceTest, UnmappedPagesArePoisonedUnderAsan) {
+#if defined(__SANITIZE_ADDRESS__)
+  space.Map(kWindow + kPageSize, kPageSize);
+  const uint8_t* page = space.Translate(kWindow + kPageSize, 1);
+  ASSERT_NE(page, nullptr);
+  EXPECT_FALSE(__asan_address_is_poisoned(page));
+  EXPECT_FALSE(__asan_address_is_poisoned(page + kPageSize - 1));
+  EXPECT_TRUE(__asan_address_is_poisoned(page - 1));
+  EXPECT_TRUE(__asan_address_is_poisoned(page + kPageSize));
+  space.Unmap(kWindow + kPageSize, kPageSize);
+  EXPECT_TRUE(__asan_address_is_poisoned(page));
+#else
+  GTEST_SKIP() << "needs an AddressSanitizer build";
+#endif
 }
 
 }  // namespace

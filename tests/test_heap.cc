@@ -19,7 +19,7 @@ class HeapTest : public ::testing::Test {
  protected:
   HeapTest() : heap_(space_, table_, kBase, kHeapSize) {}
 
-  AddressSpace space_;
+  AddressSpace space_{kBase, kHeapSize};
   ObjectTable table_;
   Heap heap_;
 };

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "src/runtime/process.h"
 #include "src/softmem/fault.h"
@@ -104,6 +105,37 @@ TEST_P(PolicyTest, UnmappedAccessSegfaultsOnlyStandard) {
       break;
     default:
       EXPECT_TRUE(result.ok());
+  }
+}
+
+// An access just past each region — globals, heap, stack — lands in the
+// unmapped guard page that follows it inside the shard's reservation.
+TEST_P(PolicyTest, GuardPageAfterEachRegionSegfaultsOnlyStandard) {
+  const Shard& shard = memory_.shard();
+  Ptr global = memory_.AllocGlobal(16, "global");
+  Ptr block = memory_.Malloc(16, "block");
+  Memory::Frame frame(memory_, "caller");
+  Ptr local = frame.Local(16, "local");
+  std::pair<Ptr, Addr> cases[] = {{global, shard.heap_base - kPageSize},
+                                  {block, shard.stack_low - kPageSize},
+                                  {local, shard.reservation_end - kPageSize}};
+  for (const auto& [referent, guard] : cases) {
+    ASSERT_FALSE(memory_.space().IsMapped(guard, 1));
+    Ptr p = referent + static_cast<int64_t>(guard - referent.addr);
+    RunResult write = RunAsProcess([&] { memory_.WriteU8(p, 1); });
+    RunResult read = RunAsProcess([&] { (void)memory_.ReadU8(p + 8); });
+    for (const RunResult& result : {write, read}) {
+      switch (GetParam()) {
+        case AccessPolicy::kStandard:
+          EXPECT_EQ(result.status, ExitStatus::kSegfault) << std::hex << guard;
+          break;
+        case AccessPolicy::kBoundsCheck:
+          EXPECT_EQ(result.status, ExitStatus::kBoundsTerminated) << std::hex << guard;
+          break;
+        default:
+          EXPECT_TRUE(result.ok()) << std::hex << guard;
+      }
+    }
   }
 }
 
@@ -309,6 +341,37 @@ TEST(GlobalsTest, GlobalAllocationPersists) {
   m.WriteBytes(g, "persistent");
   EXPECT_EQ(m.ReadBytesAsString(g, 10), "persistent");
   EXPECT_EQ(m.objects().Lookup(g.unit)->kind, UnitKind::kGlobal);
+}
+
+// The region order globals < heap < stack, packed from kGlobalBase with one
+// unmapped guard page after each region, and every region mapped in full.
+TEST(LayoutTest, RegionsArePackedInOrderWithGuardPages) {
+  Memory::Config config;
+  config.global_bytes = 3 * kPageSize + 1;  // bases round up to whole pages
+  Memory m(config);
+  const Shard& shard = m.shard();
+  EXPECT_EQ(shard.heap_base, Shard::kGlobalBase + 5 * kPageSize);
+  EXPECT_EQ(shard.stack_low, shard.heap_base + config.heap_bytes + kPageSize);
+  EXPECT_EQ(shard.reservation_end,
+            shard.stack_low + config.stack_bytes + Stack::kTopPad + kPageSize);
+  EXPECT_EQ(m.space().base(), Shard::kGlobalBase);
+  EXPECT_EQ(m.space().end(), shard.reservation_end);
+
+  Ptr global = m.AllocGlobal(8, "g");
+  Ptr block = m.Malloc(8, "h");
+  Memory::Frame frame(m, "f");
+  Ptr local = frame.Local(8, "l");
+  EXPECT_LT(global.addr, block.addr);
+  EXPECT_LT(block.addr, local.addr);
+
+  EXPECT_TRUE(m.space().IsMapped(Shard::kGlobalBase, 4 * kPageSize));
+  EXPECT_TRUE(m.space().IsMapped(shard.heap_base, config.heap_bytes));
+  EXPECT_TRUE(m.space().IsMapped(shard.stack_low, config.stack_bytes + Stack::kTopPad));
+  for (Addr guard : {shard.heap_base - kPageSize, shard.stack_low - kPageSize,
+                     shard.reservation_end - kPageSize}) {
+    EXPECT_FALSE(m.space().IsMapped(guard, 1)) << std::hex << guard;
+    EXPECT_FALSE(m.space().IsMapped(guard + kPageSize - 1, 1)) << std::hex << guard;
+  }
 }
 
 TEST(GlobalsTest, GlobalRegionExhaustion) {

@@ -124,7 +124,7 @@ TEST(ObjectTableTest, FirstLiveOverlapFindsStraddlersAndInteriors) {
 
 TEST(ObjectTablePageMapTest, SoleOwnerAndMixedPages) {
   ObjectTable table;
-  PageMap map;
+  PageMap map(0, 1 << 20);
   table.AttachPageMap(&map);
   UnitId big = table.Register(0x10000, 3 * kPageSize, UnitKind::kHeap, "big");
   // Every page of a page-multiple unit is sole-owned, interiors included.
@@ -143,20 +143,32 @@ TEST(ObjectTablePageMapTest, SoleOwnerAndMixedPages) {
 
 TEST(ObjectTablePageMapTest, RetireOfSoleOwnerClearsOwnership) {
   ObjectTable table;
-  PageMap map;
+  PageMap map(0, 1 << 20);
   table.AttachPageMap(&map);
   UnitId id = table.Register(0x10000, kPageSize, UnitKind::kHeap, "buf");
   ASSERT_EQ(map.OwnerOf(0x10000), id);
   table.Retire(id);
   EXPECT_EQ(map.OwnerOf(0x10000), kInvalidUnit);
   EXPECT_EQ(map.OverlapCount(0x10000), 0u);
-  // No data pointer and no live units: the record is gone entirely.
-  EXPECT_EQ(map.entry_count(), 0u);
+}
+
+TEST(ObjectTablePageMapTest, UnitsOutsideTheWindowAreNotTracked) {
+  ObjectTable table;
+  PageMap map(0x10000, 2 * kPageSize);
+  // Straddles the window's end: only the covered page gets a record.
+  UnitId edge = table.Register(0x11800, kPageSize, UnitKind::kHeap, "edge");
+  EXPECT_EQ(map.OwnerOf(0x11800), kInvalidUnit);  // not attached yet
+  table.AttachPageMap(&map);
+  EXPECT_EQ(map.OwnerOf(0x11800), edge);
+  EXPECT_EQ(map.Find(0x12000), nullptr);
+  EXPECT_EQ(map.Find(0xf000), nullptr);
+  table.Retire(edge);
+  EXPECT_EQ(map.OverlapCount(0x11000), 0u);
 }
 
 TEST(ObjectTablePageMapTest, RetireRefreshesPreviouslyMixedPage) {
   ObjectTable table;
-  PageMap map;
+  PageMap map(0, 1 << 20);
   table.AttachPageMap(&map);
   UnitId a = table.Register(0x10000, 64, UnitKind::kHeap, "a");
   UnitId b = table.Register(0x10100, 64, UnitKind::kHeap, "b");
@@ -172,7 +184,7 @@ TEST(ObjectTablePageMapTest, RetireRefreshesPreviouslyMixedPage) {
 
 TEST(ObjectTablePageMapTest, RegisterOverPreviouslyMixedPage) {
   ObjectTable table;
-  PageMap map;
+  PageMap map(0, 1 << 20);
   table.AttachPageMap(&map);
   UnitId a = table.Register(0x10000, 64, UnitKind::kHeap, "a");
   UnitId b = table.Register(0x10100, 64, UnitKind::kHeap, "b");
@@ -186,7 +198,7 @@ TEST(ObjectTablePageMapTest, RegisterOverPreviouslyMixedPage) {
 
 TEST(ObjectTablePageMapTest, StraddlingUnitRefreshedAfterNeighbourRetires) {
   ObjectTable table;
-  PageMap map;
+  PageMap map(0, 1 << 20);
   table.AttachPageMap(&map);
   // `wide` crosses into the second page, where it shares with `tail`.
   UnitId wide = table.Register(0x10800, kPageSize, UnitKind::kHeap, "wide");
@@ -203,7 +215,7 @@ TEST(ObjectTablePageMapTest, AttachPopulatesExistingLiveUnits) {
   UnitId a = table.Register(0x10000, kPageSize, UnitKind::kHeap, "a");
   UnitId dead = table.Register(0x20000, 64, UnitKind::kHeap, "dead");
   table.Retire(dead);
-  PageMap map;
+  PageMap map(0, 1 << 20);
   table.AttachPageMap(&map);
   EXPECT_EQ(map.OwnerOf(0x10000), a);
   // Retired units are not resurrected by attach.
@@ -212,7 +224,7 @@ TEST(ObjectTablePageMapTest, AttachPopulatesExistingLiveUnits) {
 
 TEST(ObjectTablePageMapTest, ZeroSizeUnitSpansOneByte) {
   ObjectTable table;
-  PageMap map;
+  PageMap map(0, 1 << 20);
   table.AttachPageMap(&map);
   UnitId id = table.Register(0x10000, 0, UnitKind::kGlobal, "empty");
   EXPECT_EQ(map.OwnerOf(0x10000), id);

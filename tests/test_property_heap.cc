@@ -49,7 +49,7 @@ class HeapStressTest : public ::testing::TestWithParam<uint64_t> {};
 INSTANTIATE_TEST_SUITE_P(Seeds, HeapStressTest, ::testing::Values(1, 7, 42, 1234, 99999));
 
 TEST_P(HeapStressTest, RandomWorkloadKeepsInvariants) {
-  AddressSpace space;
+  AddressSpace space(0x10000000, 4 << 20);
   ObjectTable table;
   Heap heap(space, table, 0x10000000, 4 << 20);
   Xorshift rng(GetParam());
@@ -124,7 +124,7 @@ TEST_P(HeapStressTest, RandomWorkloadKeepsInvariants) {
 }
 
 TEST_P(HeapStressTest, ObjectTableMirrorsLiveBlocks) {
-  AddressSpace space;
+  AddressSpace space(0x10000000, 1 << 20);
   ObjectTable table;
   Heap heap(space, table, 0x10000000, 1 << 20);
   Xorshift rng(GetParam() * 31);

@@ -18,7 +18,7 @@ class StackTest : public ::testing::Test {
  protected:
   StackTest() : stack_(space_, table_, kLow, kSize) {}
 
-  AddressSpace space_;
+  AddressSpace space_{kLow, kSize + Stack::kTopPad};
   ObjectTable table_;
   Stack stack_;
 };

@@ -13,6 +13,12 @@ the hot loop).
 The slow-tier pin (BM_ResidentProbe*) is deliberately named outside the
 pairing: mixed-page probes are allowed to scale with the table.
 
+With --max-construct-us N: additionally fails if BM_MemoryConstruct (build
+and tear down one default Memory, from the same report) takes more than N
+microseconds. That is what every crashed worker's restart pays before the
+server's own initialization; past the bound, shard construction is zeroing
+or indexing memory it has not touched again.
+
 With --boundless BENCH_boundless.json: additionally pairs each
 BM_BoundlessSparseSprayPaged/N with BM_BoundlessSparseSprayFlat/N and fails
 if the paged store exceeds --max-boundless-ratio times the flat baseline on
@@ -31,6 +37,7 @@ the gate is skipped (a 1-core container cannot show it; a multi-core CI
 runner must).
 
 Usage: tools/check_perf_smoke.py [BENCH_check_cost.json] [--max-ratio 6.0]
+           [--max-construct-us 500]
            [--boundless BENCH_boundless.json] [--max-boundless-ratio 2.0]
            [--throughput BENCH_throughput.json] [--min-pump-speedup 1.3]
 Exit status: 0 all pairs within their bounds; 1 a pair exceeded its bound
@@ -127,6 +134,9 @@ def main():
     parser.add_argument("json_path", nargs="?", default="BENCH_check_cost.json")
     parser.add_argument("--max-ratio", type=float, default=6.0,
                         help="maximum allowed checked/raw per-item time ratio")
+    parser.add_argument("--max-construct-us", type=float, default=None,
+                        help="also gate BM_MemoryConstruct: maximum microseconds to "
+                             "construct and destroy one default Memory")
     parser.add_argument("--boundless", metavar="BENCH_boundless.json", default=None,
                         help="also gate the paged/flat boundless sparse-spray pairs "
                              "from this report")
@@ -152,6 +162,22 @@ def main():
         to_baseline=lambda n: n.replace("FailureOblivious", "Standard"),
         max_ratio=args.max_ratio,
         what="raw")
+
+    if args.max_construct_us is not None:
+        constructs = [(name, ns) for name, (ns, _) in sorted(runs.items())
+                      if name.startswith("BM_MemoryConstruct")]
+        if not constructs:
+            print("error: no BM_MemoryConstruct run found; construct gate is vacuous",
+                  file=sys.stderr)
+            return 1
+        for name, ns in constructs:
+            us = ns / 1e3
+            verdict = "ok" if us <= args.max_construct_us else "FAIL"
+            print(f"{verdict}: {name}: {us:.1f} us per construction "
+                  f"(bound {args.max_construct_us:g} us)")
+            pairs += 1
+            if us > args.max_construct_us:
+                failures.append((name, us))
 
     if args.boundless is not None:
         loaded = load_runs(args.boundless)
