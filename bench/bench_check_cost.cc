@@ -22,8 +22,8 @@
 //     pages.
 //   * BM_ResidentProbeFailureOblivious/N — scalar reads scattered over the
 //     packed 48-byte resident blocks themselves: every page is mixed, so
-//     this pins the slow tier's population curve (the pre-fast-path cost
-//     model). Deliberately named outside the perf-smoke pairing.
+//     this pins the slow tier (the checking code). Deliberately named
+//     outside the perf-smoke pairing.
 //   * BM_MemoryConstruct — construct and destroy a default Memory: what a
 //     crashed worker's restart pays for its shard before the server's own
 //     initialization. The perf-smoke gate bounds it (--max-construct-us).
@@ -220,10 +220,9 @@ void BM_CheckCostRandomFailureOblivious(benchmark::State& state) {
 
 // Slow-tier pin: scalar reads scattered across the packed resident blocks
 // themselves. Every touched page holds ~85 live 48-byte units, so the page
-// map classifies them mixed and each access runs the full interval search —
-// the pre-fast-path cost model, still tracked per push. (Named outside the
-// BM_CheckCost{Standard,FailureOblivious} pairing so the perf-smoke ratio
-// gate does not apply; this regime is allowed to scale with the table.)
+// map classifies them mixed and each access runs the full checking code.
+// (Named outside the BM_CheckCost{Standard,FailureOblivious} pairing so the
+// perf-smoke ratio gate does not apply.)
 void BM_ResidentProbeFailureOblivious(benchmark::State& state) {
   Memory memory(AccessPolicy::kFailureOblivious);
   size_t blocks = static_cast<size_t>(state.range(0));

@@ -180,6 +180,39 @@ void BM_ManufacturedRead(benchmark::State& state) {
 }
 BENCHMARK(BM_ManufacturedRead);
 
+// The same two continuations with the names Midnight Commander's attack
+// logs: a frame function and a local unit name ("vfs_tarfs_resolve::
+// linkname_buf") both longer than std::string's small-string buffer, so any
+// per-error copy of a name into a fresh string would heap-allocate. The
+// "small" pair above cannot show that cost.
+void BM_DiscardedWriteNamed(benchmark::State& state) {
+  Memory::Config config;
+  config.policy = AccessPolicy::kFailureOblivious;
+  config.log_capacity = 16;
+  Memory memory(config);
+  Memory::Frame frame(memory, "vfs_tarfs_resolve");
+  Ptr buf = frame.Local(16, "linkname_buf");
+  for (auto _ : state) {
+    memory.WriteU8(buf + 64, 1);
+  }
+}
+BENCHMARK(BM_DiscardedWriteNamed);
+
+void BM_ManufacturedReadNamed(benchmark::State& state) {
+  Memory::Config config;
+  config.policy = AccessPolicy::kFailureOblivious;
+  config.log_capacity = 16;
+  Memory memory(config);
+  Memory::Frame frame(memory, "vfs_tarfs_resolve");
+  Ptr buf = frame.Local(16, "linkname_buf");
+  uint64_t sink = 0;
+  for (auto _ : state) {
+    sink += memory.ReadU8(buf + 64);
+  }
+  benchmark::DoNotOptimize(sink);
+}
+BENCHMARK(BM_ManufacturedReadNamed);
+
 }  // namespace
 }  // namespace fob
 

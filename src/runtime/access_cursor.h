@@ -8,7 +8,7 @@
 // back to the full per-byte classify-and-continue path in fob::Memory —
 // where the shard's page-granular unit map (src/softmem/page_map.h) gets
 // the first look, so even the cursor's fallback bytes usually resolve in
-// O(1) before any interval search runs.
+// O(1) before the checking code runs.
 //
 // This is the runtime analogue of the paper's compiler hoisting bounds
 // checks out of loops: the observable semantics are bit-identical to the

@@ -1,8 +1,9 @@
 #include "src/runtime/memlog.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <optional>
 #include <sstream>
-#include <vector>
 
 namespace fob {
 
@@ -30,37 +31,108 @@ std::string MemSiteStat::Label() const {
   return os.str();
 }
 
-void MemLog::Record(MemErrorRecord record) {
+namespace {
+// Overwrites a warm slot's name in place. A run of errors at one site
+// rewrites names of the same length, which skips assign's general
+// replace logic; a slot's buffer only ever grows, so no case allocates
+// once the slot has held its longest name.
+void CopyName(std::string& dst, std::string_view src) {
+  if (dst.size() == src.size()) {
+    std::char_traits<char>::copy(dst.data(), src.data(), src.size());
+  } else {
+    dst.assign(src);
+  }
+}
+}  // namespace
+
+MemErrorRecord* MemLog::NextSlot() {
+  if (ring_.size() < capacity_) {
+    // Geometric growth, capped so the ring never holds more than capacity_.
+    if (ring_.size() == ring_.capacity()) {
+      ring_.reserve(std::min(capacity_, std::max<size_t>(8, 2 * ring_.size())));
+    }
+    return &ring_.emplace_back();
+  }
+  ++dropped_;
+  if (capacity_ == 0) {
+    return nullptr;
+  }
+  MemErrorRecord* oldest = &ring_[head_];
+  head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
+  return oldest;
+}
+
+void MemLog::CountUnit(std::string_view unit_name) {
+  if (memo_.unit == nullptr || memo_.unit->first != unit_name) {
+    auto it = by_unit_.find(unit_name);
+    if (it == by_unit_.end()) {
+      it = by_unit_.emplace(std::string(unit_name), 0).first;
+    }
+    memo_.unit = &*it;
+  }
+  ++memo_.unit->second;
+}
+
+MemSiteStat& MemLog::SiteStat(SiteId site) {
+  if (memo_.site == nullptr || memo_.site->site != site) {
+    memo_.site = &sites_[site];
+    memo_.site->site = site;
+  }
+  return *memo_.site;
+}
+
+void MemLog::Record(bool is_write, Addr addr, size_t size, UnitId unit, std::string_view unit_name,
+                    PointerStatus status, std::string_view function, uint64_t access_index,
+                    SiteId site) {
   ++total_;
-  if (record.is_write) {
+  if (is_write) {
     ++write_errors_;
   } else {
     ++read_errors_;
   }
-  if (!record.unit_name.empty()) {
-    ++by_unit_[record.unit_name];
+  if (!unit_name.empty()) {
+    CountUnit(unit_name);
   }
-  if (record.site != kInvalidSite) {
-    MemSiteStat& stat = sites_[record.site];
+  if (site != kInvalidSite) {
+    MemSiteStat& stat = SiteStat(site);
     if (stat.count == 0) {
-      stat.site = record.site;
-      stat.unit_name = record.unit_name;
-      stat.function = record.function;
-      stat.is_write = record.is_write;
+      stat.unit_name.assign(unit_name);
+      stat.function.assign(function);
+      stat.is_write = is_write;
     }
     ++stat.count;
   }
-  if (echo_ != nullptr) {
-    *echo_ << record.ToString() << "\n";
+  MemErrorRecord* slot = NextSlot();
+  std::optional<MemErrorRecord> unstored;
+  if (slot == nullptr) {
+    if (echo_ == nullptr) {
+      return;
+    }
+    slot = &unstored.emplace();
   }
-  recent_.push_back(std::move(record));
-  if (recent_.size() > capacity_) {
-    recent_.pop_front();
-    ++dropped_;
+  slot->is_write = is_write;
+  slot->addr = addr;
+  slot->size = size;
+  slot->unit = unit;
+  CopyName(slot->unit_name, unit_name);
+  slot->status = status;
+  CopyName(slot->function, function);
+  slot->access_index = access_index;
+  slot->site = site;
+  if (echo_ != nullptr) {
+    *echo_ << slot->ToString() << "\n";
   }
 }
 
+std::vector<MemErrorRecord> MemLog::recent() const {
+  auto oldest = ring_.begin() + static_cast<ptrdiff_t>(ring_.size() == capacity_ ? head_ : 0);
+  std::vector<MemErrorRecord> oldest_first(oldest, ring_.end());
+  oldest_first.insert(oldest_first.end(), ring_.begin(), oldest);
+  return oldest_first;
+}
+
 void MemLog::Merge(const MemLog& other) {
+  memo_.Reset();
   total_ += other.total_;
   read_errors_ += other.read_errors_;
   write_errors_ += other.write_errors_;
@@ -82,11 +154,9 @@ void MemLog::Merge(const MemLog& other) {
     }
     mine.count += stat.count;
   }
-  for (const MemErrorRecord& record : other.recent_) {
-    recent_.push_back(record);
-    if (recent_.size() > capacity_) {
-      recent_.pop_front();
-      ++dropped_;
+  for (const MemErrorRecord& record : other.recent()) {
+    if (MemErrorRecord* slot = NextSlot()) {
+      *slot = record;
     }
   }
 }
@@ -125,7 +195,9 @@ std::string MemLog::Summary() const {
 }
 
 void MemLog::Clear() {
-  recent_.clear();
+  memo_.Reset();
+  ring_.clear();
+  head_ = 0;
   total_ = read_errors_ = write_errors_ = dropped_ = 0;
   translation_hits_ = translation_misses_ = 0;
   boundless_ = BoundlessStoreStats{};

@@ -4,12 +4,20 @@
 //  augment the generated code to produce a log containing information about
 //  the program's attempts to commit memory errors."
 //
-// The log keeps bounded per-error records (a ring of the most recent
-// `capacity` records — Memory::Config::log_capacity — with an overflow
-// counter for evictions, so multi-attack streams that commit thousands of
-// errors cannot grow a worker's log without bound) plus exact aggregate
-// counters, and can echo entries to a stream as they happen. The stability
-// experiments read the counters; the examples echo the stream.
+// The log keeps bounded per-error records plus exact aggregate counters, and
+// can echo entries to a stream as they happen. The stability experiments
+// read the counters; the examples echo the stream.
+//
+// The records live in a fixed-capacity ring of the most recent `capacity`
+// errors (Memory::Config::log_capacity), with an overflow counter for
+// evictions, so multi-attack streams that commit thousands of errors cannot
+// grow a worker's log without bound. Recording is allocation-free in steady
+// state: Record takes the names as views and copies them into the oldest
+// slot's strings in place, reusing their buffers, and the per-unit and
+// per-site aggregates are reached through a memo of the last site's map
+// nodes, so a run of errors at one site walks no map. The ring grows lazily
+// up to `capacity` — nothing is reserved at construction, so an idle shard's
+// log costs nothing.
 //
 // Per-shard logs merge deterministically: MemLog::Merge folds another log's
 // aggregates and ring into this one, and callers (Frontend::MergedLog, the
@@ -21,10 +29,13 @@
 #define SRC_RUNTIME_MEMLOG_H_
 
 #include <cstdint>
-#include <deque>
+#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "src/runtime/boundless_paged.h"
 #include "src/runtime/policy_spec.h"
@@ -70,17 +81,27 @@ class MemLog {
 
   explicit MemLog(size_t capacity = kDefaultCapacity) : capacity_(capacity) {}
 
-  void Record(MemErrorRecord record);
+  // Records one error. The hot path (Memory::LogError) passes the names as
+  // views into the shard's object table and stack; they are copied into a
+  // ring slot, never retained.
+  void Record(bool is_write, Addr addr, size_t size, UnitId unit, std::string_view unit_name,
+              PointerStatus status, std::string_view function, uint64_t access_index,
+              SiteId site);
+  void Record(const MemErrorRecord& record) {
+    Record(record.is_write, record.addr, record.size, record.unit, record.unit_name,
+           record.status, record.function, record.access_index, record.site);
+  }
 
   uint64_t total_errors() const { return total_; }
   uint64_t read_errors() const { return read_errors_; }
   uint64_t write_errors() const { return write_errors_; }
   // Errors per data-unit name, e.g. "prescan::buf" -> 37.
-  const std::map<std::string, uint64_t>& errors_by_unit() const { return by_unit_; }
+  const std::map<std::string, uint64_t, std::less<>>& errors_by_unit() const { return by_unit_; }
   // Errors per site id (exact: one entry per distinct site, never evicted,
   // so aggregation survives the ring bound; see MemSiteStat).
   const std::map<SiteId, MemSiteStat>& sites() const { return sites_; }
-  const std::deque<MemErrorRecord>& recent() const { return recent_; }
+  // A copy of the ring's records, oldest first (at most capacity() of them).
+  std::vector<MemErrorRecord> recent() const;
   // Records evicted from the bounded ring (recorded-but-no-longer-stored);
   // total_errors() == recent().size() + dropped() for an unmerged log.
   uint64_t dropped() const { return dropped_; }
@@ -145,8 +166,46 @@ class MemLog {
   void Clear();
 
  private:
+  // The last aggregate entries Record touched: pointers to nodes of this
+  // log's own by_unit_ and sites_ maps (std::map nodes never move). A memo
+  // must never outlive or leave its maps, so copying or moving a MemoSlot
+  // yields an empty one and a moved-from MemoSlot is emptied too; the
+  // defaulted MemLog copy/move operations therefore drop it on both sides.
+  struct MemoSlot {
+    MemoSlot() = default;
+    MemoSlot(const MemoSlot&) noexcept {}
+    MemoSlot(MemoSlot&& other) noexcept { other.Reset(); }
+    MemoSlot& operator=(const MemoSlot&) noexcept {
+      Reset();
+      return *this;
+    }
+    MemoSlot& operator=(MemoSlot&& other) noexcept {
+      Reset();
+      other.Reset();
+      return *this;
+    }
+    void Reset() {
+      unit = nullptr;
+      site = nullptr;
+    }
+
+    std::pair<const std::string, uint64_t>* unit = nullptr;
+    MemSiteStat* site = nullptr;
+  };
+
+  // The slot the next record goes into: a fresh one while the ring is
+  // below capacity, else the oldest, which is evicted (and counted).
+  // nullptr when capacity is 0: every record is dropped.
+  MemErrorRecord* NextSlot();
+  void CountUnit(std::string_view unit_name);
+  MemSiteStat& SiteStat(SiteId site);
+
   size_t capacity_;
-  std::deque<MemErrorRecord> recent_;
+  // The ring: grows by push_back up to capacity_, then wraps; head_ is the
+  // oldest slot once full (0 before).
+  std::vector<MemErrorRecord> ring_;
+  size_t head_ = 0;
+  MemoSlot memo_;
   uint64_t total_ = 0;
   uint64_t read_errors_ = 0;
   uint64_t write_errors_ = 0;
@@ -157,7 +216,7 @@ class MemLog {
   uint64_t shed_requests_ = 0;
   uint64_t stolen_batches_ = 0;
   uint64_t peak_lane_depth_ = 0;
-  std::map<std::string, uint64_t> by_unit_;
+  std::map<std::string, uint64_t, std::less<>> by_unit_;
   std::map<SiteId, MemSiteStat> sites_;
   std::ostream* echo_ = nullptr;
 };

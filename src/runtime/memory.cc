@@ -198,21 +198,23 @@ bool Memory::TryFastWrite(Ptr p, const void* src, size_t n) {
 
 Memory::CheckResult Memory::CheckAccess(Ptr p, size_t n) const {
   CheckResult result;
-  // The table search is what a Jones-Kelly/CRED checker executes per access;
-  // performing it here (even though the referent id already hangs off the
-  // pointer) keeps the checked policies' cost model honest.
+  // The pointer carries its intended referent, so classification is a
+  // vector index into the table plus a bounds compare; no address search.
   const ObjectTable& table = shard_->table;
-  const DataUnit* containing = table.LookupByAddress(p.addr);
   result.unit = table.Lookup(p.unit);
-  result.status = OobRegistry::Classify(table, p.unit, p.addr, n);
+  result.status = OobRegistry::Classify(result.unit, p.addr, n);
   result.in_bounds = result.status == PointerStatus::kInBounds;
-  (void)containing;
   return result;
 }
 
+namespace {
+std::string_view UnitName(const Memory::CheckResult& check) {
+  return check.unit != nullptr ? std::string_view(check.unit->name) : std::string_view();
+}
+}  // namespace
+
 SiteId Memory::SiteOf(const CheckResult& check, AccessKind kind) const {
-  return MakeSiteId(check.unit != nullptr ? std::string_view(check.unit->name) : std::string_view(),
-                    shard_->stack->current_function(), kind);
+  return shard_->site_memo.Resolve(UnitName(check), shard_->stack->current_function(), kind);
 }
 
 SiteId Memory::SiteForAccess(Ptr p, AccessKind kind) const {
@@ -220,21 +222,16 @@ SiteId Memory::SiteForAccess(Ptr p, AccessKind kind) const {
 }
 
 void Memory::LogError(bool is_write, Ptr p, size_t n, const CheckResult& check, SiteId site) {
-  shard_->oob.Note(check.status);
-  MemErrorRecord record;
-  record.is_write = is_write;
-  record.addr = p.addr;
-  record.size = n;
-  record.unit = p.unit;
-  record.unit_name = check.unit != nullptr ? check.unit->name : "";
-  record.status = check.status;
-  record.function = shard_->stack->current_function();
-  record.access_index = shard_->accesses;
-  record.site = site != kInvalidSite
-                    ? site
-                    : MakeSiteId(record.unit_name, record.function,
-                                 is_write ? AccessKind::kWrite : AccessKind::kRead);
-  shard_->log.Record(std::move(record));
+  Shard& shard = *shard_;
+  shard.oob.Note(check.status);
+  std::string_view unit_name = UnitName(check);
+  std::string_view function = shard.stack->current_function();
+  if (site == kInvalidSite) {
+    site = shard.site_memo.Resolve(unit_name, function,
+                                   is_write ? AccessKind::kWrite : AccessKind::kRead);
+  }
+  shard.log.Record(is_write, p.addr, n, p.unit, unit_name, check.status, function,
+                   shard.accesses, site);
 }
 
 void Memory::SiteDispatchRead(Ptr p, void* dst, size_t n) {

@@ -12,11 +12,12 @@
 //   * fast path: before any policy machinery runs, the access is offered to
 //     the shard's page-granular unit map (src/softmem/page_map.h) — a valid
 //     access through the sole live unit on its page resolves in O(1) with no
-//     interval search, and behaves identically under every policy, so the
-//     fast path is taken unconditionally. Misses fall through to the full
-//     pipeline byte-identically. Access resolution is therefore three tiers:
-//     page-map fast path → object-table interval search → policy resolution
-//     (see src/runtime/handlers/README.md);
+//     checking code at all, and behaves identically under every policy, so
+//     the fast path is taken unconditionally. Misses fall through to the
+//     full pipeline byte-identically. Access resolution is therefore three
+//     tiers: page-map fast path → checking code (the referent looked up by
+//     id, then a bounds compare) → policy resolution (see
+//     src/runtime/handlers/README.md);
 //   * continuation code: for invalid accesses, do what the resolved policy
 //     says — crash (kStandard, by actually performing/faulting the raw
 //     access), terminate (kBoundsCheck), discard-writes/manufacture-reads
@@ -36,8 +37,8 @@
 // accesses are policy-independent, so the per-site machinery costs nothing
 // until the checking code actually fails.
 //
-// The Standard policy skips the object-table search entirely and touches the
-// page map only, so the measured gap between Standard and the checked
+// The Standard policy skips the checking code entirely and touches the page
+// map only, so the measured gap between Standard and the checked
 // policies reproduces the cost profile of inserting dynamic checks.
 //
 // Every Memory owns exactly one Shard and shares nothing mutable with any

@@ -26,6 +26,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <string_view>
 
 #include "src/runtime/boundless.h"
 #include "src/runtime/manufactured.h"
@@ -75,6 +77,32 @@ struct ShardConfig {
   uint32_t shard_id = 0;
 };
 
+// One-entry memo of the last SiteId derived for an invalid access, keyed
+// by content on (unit name, innermost function, access kind). An overflow
+// loop commits its errors at one site, so the names are hashed once per run
+// instead of once per error; the id is MakeSiteId's, bit for bit. Keyed by
+// content, not by pointer, so a retired unit or popped frame whose storage
+// is reused under another name can never alias the memoized site.
+class SiteMemo {
+ public:
+  SiteId Resolve(std::string_view unit_name, std::string_view function, AccessKind kind) {
+    if (site_ == kInvalidSite || kind != kind_ || function != function_ ||
+        unit_name != unit_name_) {
+      site_ = MakeSiteId(unit_name, function, kind);
+      unit_name_.assign(unit_name);
+      function_.assign(function);
+      kind_ = kind;
+    }
+    return site_;
+  }
+
+ private:
+  std::string unit_name_;
+  std::string function_;
+  AccessKind kind_ = AccessKind::kRead;
+  SiteId site_ = kInvalidSite;
+};
+
 class Shard {
  public:
   // Region layout: globals, heap and stack back to back from kGlobalBase, in
@@ -112,12 +140,13 @@ class Shard {
   Addr global_end = 0;
   ValueSequence sequence;
   MemLog log;
+  SiteMemo site_memo;
   OobRegistry oob;
   BoundlessStore boundless;
   uint64_t accesses = 0;
   // Fast-path resolution counters: a hit is a checked access that resolved
-  // through the page map alone (no interval search); a miss fell into
-  // ObjectTable::LookupByAddress. Deterministic for a given stream + seed +
+  // through the page map alone; a miss fell into the checking code
+  // (Memory::CheckAccess). Deterministic for a given stream + seed +
   // worker count (tests/test_shard.cc); surfaced through MemLog merges and
   // BENCH_check_cost.json.
   uint64_t translation_hits = 0;

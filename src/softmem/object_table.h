@@ -66,14 +66,12 @@ class ObjectTable {
   // Unit by id; nullptr if the id was never issued.
   const DataUnit* Lookup(UnitId id) const;
 
-  // The live unit containing addr, or nullptr. This is the table search the
-  // Jones-Kelly checker performs on a checked access: a binary search over
-  // the sorted interval vector, the cache-friendly analogue of CRED's splay
-  // tree. Since the page-granular fast path (src/softmem/page_map.h)
-  // resolves valid sole-owner-page accesses in O(1), this search is the
-  // *slow* tier — mixed pages, page misses and invalid accesses land here.
-  // bench_check_cost tracks both tiers' cost against the live-object
-  // population.
+  // The live unit containing addr, or nullptr: a binary search over the
+  // sorted interval vector, the cache-friendly analogue of CRED's splay
+  // tree. The checked access path does not use it — a Ptr carries its
+  // referent's id, so Memory::CheckAccess classifies through Lookup(id).
+  // Frame::Local uses it to find the unit of the local it just allocated,
+  // and Heap::Free to tell a double free from a wild one.
   const DataUnit* LookupByAddress(Addr addr) const;
 
   // The first live unit overlapping [lo, hi), or nullptr. Zero-size units

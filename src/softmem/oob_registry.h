@@ -11,9 +11,9 @@
 #ifndef SRC_SOFTMEM_OOB_REGISTRY_H_
 #define SRC_SOFTMEM_OOB_REGISTRY_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
 
 #include "src/softmem/address_space.h"
 #include "src/softmem/object_table.h"
@@ -29,23 +29,29 @@ enum class PointerStatus {
   kDangling,  // referent retired (freed block / popped frame)
   kWild,      // referent id never issued (fabricated pointer)
 };
+// kWild stays last: OobRegistry counts by status in an array this long.
+inline constexpr size_t kPointerStatusCount = static_cast<size_t>(PointerStatus::kWild) + 1;
 
 const char* PointerStatusName(PointerStatus status);
 
 class OobRegistry {
  public:
   // Classifies an n-byte access at addr against its intended referent.
-  static PointerStatus Classify(const ObjectTable& table, UnitId unit, Addr addr, size_t n);
+  static PointerStatus Classify(const ObjectTable& table, UnitId unit, Addr addr, size_t n) {
+    return Classify(table.Lookup(unit), addr, n);
+  }
+  // The same, given the referent already looked up (nullptr: never issued).
+  static PointerStatus Classify(const DataUnit* referent, Addr addr, size_t n);
 
   // Records one out-of-bounds dereference attempt (for statistics).
   void Note(PointerStatus status);
 
   uint64_t total() const { return total_; }
-  uint64_t count(PointerStatus status) const;
+  uint64_t count(PointerStatus status) const { return counts_[static_cast<size_t>(status)]; }
 
  private:
   uint64_t total_ = 0;
-  std::map<PointerStatus, uint64_t> counts_;
+  std::array<uint64_t, kPointerStatusCount> counts_{};
 };
 
 }  // namespace fob

@@ -12,9 +12,9 @@
 // inside the referent's extent → done, no interval search. The bytes
 // themselves come from the AddressSpace's base + offset translation. A mixed
 // page (two or more live units), a page outside the window, or an
-// out-of-extent range falls into ObjectTable::LookupByAddress exactly as
-// before — byte-identically, since the fast path only accepts accesses the
-// full checking code would have classified kInBounds.
+// out-of-extent range falls into the full checking code (Memory::CheckAccess)
+// exactly as before — byte-identically, since the fast path only accepts
+// accesses the checking code would have classified kInBounds.
 //
 // Coherence: the map is written only from the place the address→unit
 // relation changes — ObjectTable::Register/Retire, which notifies its

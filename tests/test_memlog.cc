@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/runtime/memory.h"
 
@@ -132,6 +135,116 @@ TEST(MemLogTest, MergeRespectsCapacityAndCountsEvictions) {
   EXPECT_EQ(merged.dropped(), 1u);
 }
 
+// Record with a site, so the per-site memo is exercised alongside the
+// per-unit one.
+MemErrorRecord MakeSiteRecord(const std::string& unit_name) {
+  MemErrorRecord record = MakeRecord(true, unit_name);
+  record.site = MakeSiteId(unit_name, record.function, AccessKind::kWrite);
+  return record;
+}
+
+std::vector<std::string> RecentUnits(const MemLog& log) {
+  std::vector<std::string> names;
+  for (const MemErrorRecord& record : log.recent()) {
+    names.push_back(record.unit_name);
+  }
+  return names;
+}
+
+TEST(MemLogRingTest, WrappedRingsMergeOldestFirst) {
+  MemLog a(4);
+  for (int i = 0; i < 11; ++i) {  // wraps twice and lands mid-ring
+    a.Record(MakeSiteRecord("a" + std::to_string(i)));
+  }
+  MemLog b(4);
+  for (int i = 0; i < 9; ++i) {
+    b.Record(MakeSiteRecord("b" + std::to_string(i)));
+  }
+  EXPECT_EQ(RecentUnits(a), (std::vector<std::string>{"a7", "a8", "a9", "a10"}));
+  EXPECT_EQ(a.recent().size() + a.dropped(), a.total_errors());
+  EXPECT_EQ(b.recent().size() + b.dropped(), b.total_errors());
+
+  b.Merge(a);
+  // The merged ring keeps the newest four, still oldest first: b's own
+  // records were all evicted by a's four.
+  EXPECT_EQ(RecentUnits(b), (std::vector<std::string>{"a7", "a8", "a9", "a10"}));
+  EXPECT_EQ(b.total_errors(), 20u);
+  EXPECT_EQ(b.dropped(), 5u + 7u + 4u);
+  EXPECT_EQ(b.sites().size(), 20u);
+  EXPECT_EQ(b.errors_by_unit().size(), 20u);
+  // Recording after the merge continues the ring where the merge left it.
+  b.Record(MakeSiteRecord("after"));
+  EXPECT_EQ(RecentUnits(b), (std::vector<std::string>{"a8", "a9", "a10", "after"}));
+  EXPECT_EQ(b.sites().at(MakeSiteRecord("a10").site).count, 1u);
+}
+
+TEST(MemLogRingTest, CopiesNeverCountIntoTheOriginal) {
+  MemLog original(8);
+  original.Record(MakeSiteRecord("hot"));
+  MemLog copy = original;
+  copy.Record(MakeSiteRecord("hot"));
+  copy.Record(MakeSiteRecord("hot"));
+  original.Record(MakeSiteRecord("hot"));
+  const SiteId hot = MakeSiteRecord("hot").site;
+  EXPECT_EQ(original.errors_by_unit().at("hot"), 2u);
+  EXPECT_EQ(original.sites().at(hot).count, 2u);
+  EXPECT_EQ(copy.errors_by_unit().at("hot"), 3u);
+  EXPECT_EQ(copy.sites().at(hot).count, 3u);
+
+  // Assignment and moves drop the memo on both sides too.
+  MemLog assigned(8);
+  assigned.Record(MakeSiteRecord("hot"));
+  assigned = copy;
+  assigned.Record(MakeSiteRecord("hot"));
+  EXPECT_EQ(copy.sites().at(hot).count, 3u);
+  EXPECT_EQ(assigned.sites().at(hot).count, 4u);
+  MemLog moved = std::move(assigned);
+  moved.Record(MakeSiteRecord("hot"));
+  EXPECT_EQ(moved.sites().at(hot).count, 5u);
+  EXPECT_EQ(moved.errors_by_unit().at("hot"), 5u);
+}
+
+TEST(MemLogRingTest, ClearRestartsTheSiteAtTheSameSite) {
+  MemLog log(4);
+  for (int i = 0; i < 6; ++i) {
+    log.Record(MakeSiteRecord("again"));
+  }
+  log.Clear();
+  log.Record(MakeSiteRecord("again"));
+  const SiteId site = MakeSiteRecord("again").site;
+  ASSERT_EQ(log.sites().size(), 1u);
+  EXPECT_EQ(log.sites().at(site).count, 1u);
+  EXPECT_EQ(log.sites().at(site).unit_name, "again");
+  EXPECT_EQ(log.errors_by_unit().at("again"), 1u);
+  EXPECT_EQ(RecentUnits(log), (std::vector<std::string>{"again"}));
+  EXPECT_EQ(log.dropped(), 0u);
+}
+
+TEST(MemLogRingTest, ZeroCapacityDropsEveryRecordButCountsExactly) {
+  MemLog log(0);
+  std::ostringstream echo;
+  log.set_echo(&echo);
+  log.Record(MakeSiteRecord("x"));
+  log.Record(MakeSiteRecord("x"));
+  log.Record(MakeRecord(false, "y"));
+  EXPECT_TRUE(log.recent().empty());
+  EXPECT_EQ(log.dropped(), 3u);
+  EXPECT_EQ(log.total_errors(), 3u);
+  EXPECT_EQ(log.write_errors(), 2u);
+  EXPECT_EQ(log.read_errors(), 1u);
+  EXPECT_EQ(log.errors_by_unit().at("x"), 2u);
+  EXPECT_EQ(log.errors_by_unit().at("y"), 1u);
+  EXPECT_EQ(log.sites().at(MakeSiteRecord("x").site).count, 2u);
+  // Unstored records still echo.
+  EXPECT_NE(echo.str().find("'y'"), std::string::npos);
+
+  MemLog merged(0);
+  merged.Merge(log);
+  EXPECT_TRUE(merged.recent().empty());
+  EXPECT_EQ(merged.dropped(), 3u);
+  EXPECT_EQ(merged.total_errors(), 3u);
+}
+
 TEST(MemLogTest, SchedulerStatsSumCountersAndMaxPeakDepth) {
   MemLog a;
   a.AddSchedulerStats(/*shed=*/3, /*stolen_batches=*/2, /*peak_lane_depth=*/7);
@@ -199,7 +312,7 @@ TEST(MemLogIntegrationTest, LogIdentifiesTheGuiltyBufferAndFunction) {
     memory.WriteU8(buf + 9, 'X');
   }
   ASSERT_EQ(memory.log().recent().size(), 1u);
-  const MemErrorRecord& record = memory.log().recent().front();
+  MemErrorRecord record = memory.log().recent().front();
   EXPECT_EQ(record.unit_name, "parse_request::reqbuf");
   EXPECT_EQ(record.function, "parse_request");
   EXPECT_TRUE(record.is_write);

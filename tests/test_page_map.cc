@@ -108,7 +108,7 @@ TEST(PageMapFastPathTest, StaleBoundsAfterRetireAtSameAddress) {
   memory.WriteU8(old_window, 0xbb);
   EXPECT_EQ(memory.translation_hits(), hits_before);
   EXPECT_EQ(memory.log().total_errors(), errors_before + 1);
-  const MemErrorRecord& record = memory.log().recent().back();
+  MemErrorRecord record = memory.log().recent().back();
   EXPECT_EQ(record.status, PointerStatus::kDangling);
   EXPECT_EQ(record.unit_name, "old");  // attribution survives retirement
   // The discarded write must not have landed in the fresh allocation

@@ -77,6 +77,84 @@ TEST(SiteIdTest, SiteForAccessMatchesWhatAnErrorWouldLog) {
   EXPECT_EQ(memory.log().recent().back().site, predicted);
 }
 
+// Under a uniform spec LogError derives each record's site itself, through
+// the shard's one-entry site memo; these pin that the memo never hands out a
+// stale id when any part of its key changes.
+
+std::vector<SiteId> LoggedSites(const Memory& memory) {
+  std::vector<SiteId> sites;
+  for (const MemErrorRecord& record : memory.log().recent()) {
+    sites.push_back(record.site);
+  }
+  return sites;
+}
+
+TEST(SiteMemoTest, SameUnitUnderTwoFunctionsIsTwoSites) {
+  Memory memory(AccessPolicy::kFailureOblivious);
+  Ptr buf = memory.Malloc(8, "shared_buffer_name");
+  {
+    Memory::Frame frame(memory, "first_caller_fn");
+    memory.WriteU8(buf + 32, 1);
+    memory.WriteU8(buf + 33, 1);
+  }
+  {
+    Memory::Frame frame(memory, "second_caller_fn");
+    memory.WriteU8(buf + 32, 1);
+  }
+  const SiteId first = MakeSiteId("shared_buffer_name", "first_caller_fn", AccessKind::kWrite);
+  const SiteId second = MakeSiteId("shared_buffer_name", "second_caller_fn", AccessKind::kWrite);
+  EXPECT_EQ(LoggedSites(memory), (std::vector<SiteId>{first, first, second}));
+  EXPECT_EQ(memory.log().sites().at(first).count, 2u);
+  EXPECT_EQ(memory.log().sites().at(second).count, 1u);
+}
+
+TEST(SiteMemoTest, ReadThenWriteAtOneSiteIsTwoSites) {
+  Memory memory(AccessPolicy::kFailureOblivious);
+  Ptr buf = memory.Malloc(8, "buf");
+  Memory::Frame frame(memory, "scanner");
+  (void)memory.ReadU8(buf + 40);
+  memory.WriteU8(buf + 40, 1);
+  (void)memory.ReadU8(buf + 40);
+  const SiteId read = MakeSiteId("buf", "scanner", AccessKind::kRead);
+  const SiteId write = MakeSiteId("buf", "scanner", AccessKind::kWrite);
+  EXPECT_EQ(LoggedSites(memory), (std::vector<SiteId>{read, write, read}));
+}
+
+TEST(SiteMemoTest, AlternatingUnitsEachGetTheirOwnSite) {
+  Memory memory(AccessPolicy::kFailureOblivious);
+  Ptr a = memory.Malloc(8, "unit_a");
+  Ptr b = memory.Malloc(8, "unit_b");
+  Memory::Frame frame(memory, "mixer");
+  memory.WriteU8(a + 64, 1);
+  memory.WriteU8(b + 64, 1);
+  memory.WriteU8(a + 64, 1);
+  const SiteId site_a = MakeSiteId("unit_a", "mixer", AccessKind::kWrite);
+  const SiteId site_b = MakeSiteId("unit_b", "mixer", AccessKind::kWrite);
+  EXPECT_EQ(LoggedSites(memory), (std::vector<SiteId>{site_a, site_b, site_a}));
+  EXPECT_EQ(memory.log().sites().at(site_a).count, 2u);
+  EXPECT_EQ(memory.log().errors_by_unit().at("unit_a"), 2u);
+  EXPECT_EQ(memory.log().errors_by_unit().at("unit_b"), 1u);
+}
+
+TEST(SiteMemoTest, FrameReplacedAtTheSameDepthIsANewSite) {
+  // Both frames sit at the same stack depth and their names have the same
+  // length, so the frame record, and possibly its name buffer, is reused:
+  // only a content comparison tells the two functions apart.
+  Memory memory(AccessPolicy::kFailureOblivious);
+  Ptr buf = memory.Malloc(8, "buf");
+  {
+    Memory::Frame frame(memory, "handler_one");
+    memory.WriteU8(buf + 16, 1);
+  }
+  {
+    Memory::Frame frame(memory, "handler_two");
+    memory.WriteU8(buf + 16, 1);
+  }
+  EXPECT_EQ(LoggedSites(memory),
+            (std::vector<SiteId>{MakeSiteId("buf", "handler_one", AccessKind::kWrite),
+                                 MakeSiteId("buf", "handler_two", AccessKind::kWrite)}));
+}
+
 // ---- PolicySpec -------------------------------------------------------------
 
 TEST(PolicySpecTest, UniformAndOverridesResolve) {

@@ -11,13 +11,21 @@ regressed (map incoherence, a miss-everything bug, or a slow tier leak into
 the hot loop).
 
 The slow-tier pin (BM_ResidentProbe*) is deliberately named outside the
-pairing: mixed-page probes are allowed to scale with the table.
+pairing: mixed-page probes measure the checking code, not the fast path.
 
 With --max-construct-us N: additionally fails if BM_MemoryConstruct (build
 and tear down one default Memory, from the same report) takes more than N
 microseconds. That is what every crashed worker's restart pays before the
 server's own initialization; past the bound, shard construction is zeroing
 or indexing memory it has not touched again.
+
+With --overhead BENCH_overhead.json: additionally gates the
+failure-oblivious error path. Every BM_DiscardedWrite* and
+BM_ManufacturedRead* run (the "small"-named pair and the *Named pair, whose
+unit and function names are longer than std::string's small-string buffer)
+must take at most --max-error-ns nanoseconds per invalid access: the check,
+the log record and the continuation together. Past the bound, the error
+path has started allocating or hashing per error again.
 
 With --boundless BENCH_boundless.json: additionally pairs each
 BM_BoundlessSparseSprayPaged/N with BM_BoundlessSparseSprayFlat/N and fails
@@ -38,6 +46,7 @@ runner must).
 
 Usage: tools/check_perf_smoke.py [BENCH_check_cost.json] [--max-ratio 6.0]
            [--max-construct-us 500]
+           [--overhead BENCH_overhead.json] [--max-error-ns 150]
            [--boundless BENCH_boundless.json] [--max-boundless-ratio 2.0]
            [--throughput BENCH_throughput.json] [--min-pump-speedup 1.3]
 Exit status: 0 all pairs within their bounds; 1 a pair exceeded its bound
@@ -51,6 +60,9 @@ import json
 import sys
 
 
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
 def per_item_ns(entry):
     """Nanoseconds per processed item, from items_per_second."""
     ips = entry.get("items_per_second")
@@ -59,10 +71,19 @@ def per_item_ns(entry):
     return None
 
 
-def load_runs(json_path):
+def per_iteration_ns(entry):
+    """CPU nanoseconds per benchmark iteration."""
+    cpu = entry.get("cpu_time")
+    scale = NS_PER_UNIT.get(entry.get("time_unit", "ns"))
+    if isinstance(cpu, (int, float)) and cpu > 0 and scale is not None:
+        return cpu * scale
+    return None
+
+
+def load_runs(json_path, measure=per_item_ns):
     """(runs, context): real benchmark runs (no aggregates) keyed by full
-    name plus the report's context object, or an int exit status on config
-    error."""
+    name, each with its `measure` in ns, plus the report's context object,
+    or an int exit status on config error."""
     try:
         with open(json_path, encoding="utf-8") as f:
             report = json.load(f)
@@ -86,7 +107,7 @@ def load_runs(json_path):
             continue
         if entry.get("run_type", "iteration") != "iteration":
             continue
-        ns = per_item_ns(entry)
+        ns = measure(entry)
         if ns is not None:
             runs[entry["name"]] = (ns, entry)
     return runs, context
@@ -137,6 +158,12 @@ def main():
     parser.add_argument("--max-construct-us", type=float, default=None,
                         help="also gate BM_MemoryConstruct: maximum microseconds to "
                              "construct and destroy one default Memory")
+    parser.add_argument("--overhead", metavar="BENCH_overhead.json", default=None,
+                        help="also gate the failure-oblivious error-path benchmarks "
+                             "(BM_DiscardedWrite*, BM_ManufacturedRead*) from this report")
+    parser.add_argument("--max-error-ns", type=float, default=150.0,
+                        help="maximum allowed nanoseconds per invalid access on the "
+                             "error path")
     parser.add_argument("--boundless", metavar="BENCH_boundless.json", default=None,
                         help="also gate the paged/flat boundless sparse-spray pairs "
                              "from this report")
@@ -178,6 +205,25 @@ def main():
             pairs += 1
             if us > args.max_construct_us:
                 failures.append((name, us))
+
+    if args.overhead is not None:
+        loaded = load_runs(args.overhead, measure=per_iteration_ns)
+        if isinstance(loaded, int):
+            return loaded
+        overhead_runs, _ = loaded
+        error_runs = [(name, ns) for name, (ns, _) in sorted(overhead_runs.items())
+                      if name.startswith(("BM_DiscardedWrite", "BM_ManufacturedRead"))]
+        if not error_runs:
+            print("error: no BM_DiscardedWrite*/BM_ManufacturedRead* run found; "
+                  "error-path gate is vacuous", file=sys.stderr)
+            return 1
+        for name, ns in error_runs:
+            verdict = "ok" if ns <= args.max_error_ns else "FAIL"
+            print(f"{verdict}: {name}: {ns:.1f} ns per invalid access "
+                  f"(bound {args.max_error_ns:g} ns)")
+            pairs += 1
+            if ns > args.max_error_ns:
+                failures.append((name, ns))
 
     if args.boundless is not None:
         loaded = load_runs(args.boundless)
