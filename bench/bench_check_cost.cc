@@ -27,23 +27,31 @@
 //   * BM_MemoryConstruct — construct and destroy a default Memory: what a
 //     crashed worker's restart pays for its shard before the server's own
 //     initialization. The perf-smoke gate bounds it (--max-construct-us).
+//   * BM_ApacheWorkerConstruct — construct and destroy one Bounds Check
+//     Apache worker from a factory built once outside the loop: the whole
+//     restart a crashed worker pays (shard, config parse, rule compile; the
+//     docroot is the factory's). The perf-smoke gate bounds it
+//     (--max-restart-us).
 //
 // Every access benchmark emits the shard's fast-path counters for the timed
 // region as translation_hits / translation_misses / hit_rate, so the JSON
 // carries which tier actually served the accesses.
 //
 // Args: {live-blocks} or {live-blocks, dist}. Output unit: ns per access (per
-// construction for BM_MemoryConstruct).
+// construction for BM_MemoryConstruct and BM_ApacheWorkerConstruct).
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/apps/resident.h"
+#include "src/apps/server_app.h"
+#include "src/harness/workloads.h"
 #include "src/runtime/memory.h"
 #include "src/softmem/address_space.h"
 
@@ -254,6 +262,15 @@ void BM_MemoryConstruct(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
+void BM_ApacheWorkerConstruct(benchmark::State& state) {
+  auto factory = MakeServerAppFactory(Server::kApache, AccessPolicy::kBoundsCheck);
+  for (auto _ : state) {
+    std::unique_ptr<ServerApp> worker = factory();
+    benchmark::DoNotOptimize(worker.get());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
 BENCHMARK(BM_CheckCostStandard)->Arg(16)->Arg(256)->Arg(4096);
 BENCHMARK(BM_CheckCostFailureOblivious)->Arg(16)->Arg(256)->Arg(4096);
 BENCHMARK(BM_CheckCostMixedSpec)->Arg(16)->Arg(256)->Arg(4096);
@@ -273,6 +290,7 @@ BENCHMARK(BM_CheckCostRandomFailureOblivious)
     ->Args({4096, 1});
 BENCHMARK(BM_ResidentProbeFailureOblivious)->Arg(16)->Arg(256)->Arg(4096);
 BENCHMARK(BM_MemoryConstruct);
+BENCHMARK(BM_ApacheWorkerConstruct);
 
 }  // namespace
 }  // namespace fob

@@ -17,8 +17,9 @@
 //                     byte-identical to the correct one.
 //
 // A WorkerPool of ApacheApp instances models the regenerating child-process
-// pool; worker construction re-runs full server initialization (config
-// parse + regex compilation), which is what restarts cost.
+// pool. A restart is what a freshly forked child pays: config parse, rule
+// compilation and a fresh Memory. The docroot belongs to the parent — the
+// worker factory builds it once and every child reads the same copy.
 
 #ifndef SRC_APPS_APACHE_H_
 #define SRC_APPS_APACHE_H_

@@ -77,8 +77,9 @@ ServerResponse PineServer::Handle(const ServerRequest& request) {
 
 // ---- Apache ---------------------------------------------------------------
 
-ApacheServer::ApacheServer(const PolicySpec& spec, Vfs docroot, const std::string& config_text)
-    : docroot_(std::move(docroot)), app_(spec, &docroot_, config_text) {}
+ApacheServer::ApacheServer(const PolicySpec& spec, std::shared_ptr<const Vfs> docroot,
+                           const std::string& config_text)
+    : docroot_(std::move(docroot)), app_(spec, docroot_.get(), config_text) {}
 
 ServerResponse ApacheServer::Handle(const ServerRequest& request) {
   if (request.op != "get") {

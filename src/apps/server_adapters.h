@@ -1,13 +1,13 @@
 // ServerApp adapters for the five §4 servers and the two post-paper
 // additions (archive inbox, codec gateway).
 //
-// Each adapter owns one app instance (plus its native substrate — Apache's
-// docroot, Mutt's IMAP server) and translates the uniform ServerRequest
-// vocabulary onto the app's own methods, 1:1 and in order, so a request
-// stream driven through an adapter performs *exactly* the simulated-memory
-// operations the equivalent direct calls would (tests/test_server_app.cc
-// pins that equivalence: identical responses, memlog contents and Outcome
-// under all seven policies).
+// Each adapter owns one app instance (plus its native substrate — Mutt's
+// IMAP server; Apache's docroot is shared read-only, see ApacheServer) and
+// translates the uniform ServerRequest vocabulary onto the app's own
+// methods, 1:1 and in order, so a request stream driven through an adapter
+// performs *exactly* the simulated-memory operations the equivalent direct
+// calls would (tests/test_server_app.cc pins that equivalence: identical
+// responses, memlog contents and Outcome under all seven policies).
 //
 // The adapter also owns the §4 acceptability judgment for each op — the
 // server-specific knowledge that used to be scattered through the harness:
@@ -51,6 +51,7 @@
 #ifndef SRC_APPS_SERVER_ADAPTERS_H_
 #define SRC_APPS_SERVER_ADAPTERS_H_
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -81,13 +82,19 @@ class PineServer : public ServerApp {
 
 class ApacheServer : public ServerApp {
  public:
-  ApacheServer(const PolicySpec& spec, Vfs docroot, const std::string& config_text);
+  // `docroot` is read-only: MakeServerAppFactory hands one to every worker
+  // and crash replacement it builds, as a prefork parent's children inherit
+  // its docroot.
+  ApacheServer(const PolicySpec& spec, std::shared_ptr<const Vfs> docroot,
+               const std::string& config_text);
   ServerResponse Handle(const ServerRequest& request) override;
   Memory& memory() override { return app_.memory(); }
   ApacheApp& app() { return app_; }
 
  private:
-  Vfs docroot_;  // must outlive app_ (declared first)
+  // Shared with the other workers of the same factory; must outlive app_
+  // (declared first).
+  std::shared_ptr<const Vfs> docroot_;
   ApacheApp app_;
 };
 

@@ -104,10 +104,12 @@ struct ServerResponse {
 // and the error log — the outcome-relevant state probes the harness needs.
 //
 // Ownership under parallel serving: one worker = one ServerApp = one Memory
-// = one Shard (src/runtime/shard.h). An adapter and its substrate (docroot,
-// IMAP store) are private to its worker thread; nothing behind memory() is
-// shared between two ServerApp instances, which is what lets the Frontend
-// dispatch worker lanes concurrently with no locking.
+// = one Shard (src/runtime/shard.h). An adapter and its mutable substrate
+// (Mutt's IMAP store) are private to its worker thread; nothing behind
+// memory() is shared between two ServerApp instances, which is what lets
+// the Frontend dispatch worker lanes concurrently with no locking. The one
+// shared substrate is read-only: the Apache docroot a factory builds once
+// and hands to every worker it makes (src/net/README.md).
 class ServerApp {
  public:
   virtual ~ServerApp() = default;

@@ -1,5 +1,7 @@
 #include "src/harness/workloads.h"
 
+#include <algorithm>
+#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -361,6 +363,19 @@ TrafficStream MakeTrafficStream(Server server, const StreamOptions& options) {
   return stream;
 }
 
+namespace {
+
+// Config parse and rule compilation run per worker: that is the restart
+// work apache.h models. The docroot is the parent's.
+std::unique_ptr<ServerApp> MakeApacheServer(const PolicySpec& spec,
+                                            std::shared_ptr<const Vfs> docroot,
+                                            const ServerSetup& setup) {
+  return std::make_unique<ApacheServer>(spec, std::move(docroot),
+                                        ApacheApp::DefaultConfigText(setup.apache_filler_rules));
+}
+
+}  // namespace
+
 std::unique_ptr<ServerApp> MakeServerApp(Server server, const PolicySpec& spec,
                                          const ServerSetup& setup) {
   switch (server) {
@@ -369,8 +384,7 @@ std::unique_ptr<ServerApp> MakeServerApp(Server server, const PolicySpec& spec,
           spec, MakePineMbox(setup.pine_mbox_legit, setup.pine_mbox_attack,
                              setup.pine_body_bytes));
     case Server::kApache:
-      return std::make_unique<ApacheServer>(
-          spec, MakeApacheDocroot(), ApacheApp::DefaultConfigText(setup.apache_filler_rules));
+      return MakeApacheServer(spec, std::make_shared<const Vfs>(MakeApacheDocroot()), setup);
     case Server::kSendmail:
       return std::make_unique<SendmailServer>(spec);
     case Server::kMc:
@@ -407,6 +421,10 @@ std::unique_ptr<ServerApp> MakeServerApp(Server server, const PolicySpec& spec,
 std::function<std::unique_ptr<ServerApp>()> MakeServerAppFactory(Server server,
                                                                  const PolicySpec& spec,
                                                                  const ServerSetup& setup) {
+  if (server == Server::kApache) {
+    std::shared_ptr<const Vfs> docroot = std::make_shared<const Vfs>(MakeApacheDocroot());
+    return [spec, setup, docroot] { return MakeApacheServer(spec, docroot, setup); };
+  }
   return [server, spec, setup] { return MakeServerApp(server, spec, setup); };
 }
 
@@ -459,12 +477,20 @@ Vfs MakeApacheDocroot(size_t small_bytes, size_t large_bytes) {
     small_page += "<p>publications and software</p>";
   }
   small_page += "</body></html>";
-  docroot.WriteFile("/index.html", small_page, true);
-  std::string big(large_bytes, '\0');
-  for (size_t i = 0; i < big.size(); ++i) {
-    big[i] = static_cast<char>('A' + (i % 61));
+  docroot.WriteFile("/index.html", std::move(small_page), true);
+  // Byte i is 'A' + i % 61: write one period, then double by block copies.
+  // Every copy starts at offset 0 and lands at a multiple of 61, so the
+  // phase holds.
+  constexpr size_t kPeriod = 61;
+  std::string big;
+  big.reserve(large_bytes);
+  for (size_t i = 0; i < std::min(kPeriod, large_bytes); ++i) {
+    big.push_back(static_cast<char>('A' + i));
   }
-  docroot.WriteFile("/files/big.bin", big, true);
+  while (big.size() < large_bytes) {
+    big.append(big, 0, std::min(big.size(), large_bytes - big.size()));
+  }
+  docroot.WriteFile("/files/big.bin", std::move(big), true);
   docroot.WriteFile("/docs/flexc.html", "<html><body>docs</body></html>", true);
   docroot.WriteFile("/rewritten/a/b/c", "capture target page", true);
   return docroot;

@@ -97,7 +97,9 @@ std::unique_ptr<ServerApp> MakeServerApp(Server server, const PolicySpec& spec,
 // to build one worker's adapter + shard, and re-runs on the crashing lane's
 // own thread to replace it. Captures its configuration by value, so it is
 // safe to invoke concurrently — the contract parallel dispatch relies on
-// (src/net/README.md).
+// (src/net/README.md). The Apache factory builds its docroot once, here,
+// and every worker it makes shares that one read-only, as a prefork
+// parent's children do; MakeServerApp builds a fresh one per call.
 std::function<std::unique_ptr<ServerApp>()> MakeServerAppFactory(
     Server server, const PolicySpec& spec, const ServerSetup& setup = {});
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <sstream>
+#include <string>
 
 #include "src/harness/experiment.h"
 #include "src/harness/stats.h"
@@ -123,11 +125,45 @@ TEST(WorkloadTest, ApacheAttackUrlMatchesTheVulnerableRule) {
   EXPECT_EQ(std::count(url.begin(), url.end(), '-'), 11);
 }
 
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t hash = 14695981039346656037ull;
+  for (unsigned char c : bytes) {
+    hash = (hash ^ c) * 1099511628211ull;
+  }
+  return hash;
+}
+
 TEST(WorkloadTest, ApacheDocrootHasTheFigure3Pages) {
   Vfs docroot = MakeApacheDocroot();
   ASSERT_TRUE(docroot.FileSize("/index.html").has_value());
   EXPECT_NEAR(static_cast<double>(*docroot.FileSize("/index.html")), 5 * 1024, 64);
   EXPECT_EQ(docroot.FileSize("/files/big.bin"), 830 * 1024u);
+
+  // The served bytes are pinned, not just the sizes: responses are compared
+  // byte for byte against a standalone server, so any change to the
+  // generator changes every Apache response.
+  std::optional<std::string> index = docroot.ReadFile("/index.html");
+  ASSERT_TRUE(index.has_value());
+  EXPECT_EQ(index->size(), 5126u);
+  EXPECT_EQ(Fnv1a64(*index), 0x94cc127ac72f797full);
+
+  // /files/big.bin is the 61-byte period 'A' + i % 61 at every size,
+  // including the ones that end inside the first, second and last period.
+  for (size_t large_bytes : {size_t{0}, size_t{1}, size_t{60}, size_t{61}, size_t{62},
+                             size_t{122}, size_t{830 * 1024}}) {
+    std::optional<std::string> big =
+        MakeApacheDocroot(5 * 1024, large_bytes).ReadFile("/files/big.bin");
+    ASSERT_TRUE(big.has_value()) << large_bytes;
+    ASSERT_EQ(big->size(), large_bytes);
+    size_t first_bad = large_bytes;
+    for (size_t i = 0; i < large_bytes; ++i) {
+      if ((*big)[i] != static_cast<char>('A' + i % 61)) {
+        first_bad = i;
+        break;
+      }
+    }
+    EXPECT_EQ(first_bad, large_bytes) << "large_bytes " << large_bytes;
+  }
 }
 
 TEST(WorkloadTest, SendmailSessionsHaveRequestedBodySize) {

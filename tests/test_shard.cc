@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -201,7 +202,10 @@ TEST(ShardDeterminismTest, CrashingPolicyRunsAreRepeatableUnderParallelDispatch)
   // Even when workers crash and are replaced mid-run, sticky lanes plus
   // post-join merging make the whole run a deterministic function of the
   // stream: two identical parallel runs agree response-for-response, on
-  // restart count, and on requeue accounting.
+  // restart count, and on requeue accounting. Under both crashing policies
+  // the replacements share the factory's read-only docroot with the lanes
+  // still serving, and every legitimate response matches a standalone
+  // server's byte for byte.
   StreamOptions stream_options;
   stream_options.requests = 32;
   stream_options.clients = 5;
@@ -209,19 +213,36 @@ TEST(ShardDeterminismTest, CrashingPolicyRunsAreRepeatableUnderParallelDispatch)
   stream_options.attacks_per_period = 1;
   stream_options.seed = 11;
   TrafficStream stream = MakeTrafficStream(Server::kApache, stream_options);
-  ServerFactory factory = MakeServerAppFactory(Server::kApache, AccessPolicy::kStandard);
   Frontend::Options options{.workers = 4, .batch = 4};
 
-  FrontendReport first = RunFrontendExperiment(factory, stream, options);
-  FrontendReport second = RunFrontendExperiment(factory, stream, options);
-  ASSERT_GT(first.restarts, 0u) << "attack stream crashed no workers";
-  EXPECT_EQ(first.restarts, second.restarts);
-  EXPECT_EQ(first.stats.failed, second.stats.failed);
-  EXPECT_EQ(first.stats.requeued, second.stats.requeued);
-  EXPECT_EQ(first.stats.batches, second.stats.batches);
-  ASSERT_EQ(first.responses.size(), second.responses.size());
-  for (size_t i = 0; i < first.responses.size(); ++i) {
-    EXPECT_EQ(first.responses[i].Serialize(), second.responses[i].Serialize()) << "response " << i;
+  for (AccessPolicy policy : {AccessPolicy::kStandard, AccessPolicy::kBoundsCheck}) {
+    SCOPED_TRACE(PolicyName(policy));
+    ServerFactory factory = MakeServerAppFactory(Server::kApache, policy);
+    FrontendReport first = RunFrontendExperiment(factory, stream, options);
+    FrontendReport second = RunFrontendExperiment(factory, stream, options);
+    ASSERT_GT(first.restarts, 0u) << "attack stream crashed no workers";
+    EXPECT_EQ(first.restarts, second.restarts);
+    EXPECT_EQ(first.stats.failed, second.stats.failed);
+    EXPECT_EQ(first.stats.requeued, second.stats.requeued);
+    EXPECT_EQ(first.stats.batches, second.stats.batches);
+    ASSERT_EQ(first.responses.size(), second.responses.size());
+    ASSERT_EQ(first.responses.size(), stream.requests.size());
+    for (size_t i = 0; i < first.responses.size(); ++i) {
+      EXPECT_EQ(first.responses[i].Serialize(), second.responses[i].Serialize())
+          << "response " << i;
+    }
+
+    std::unique_ptr<ServerApp> standalone = MakeServerApp(Server::kApache, policy);
+    size_t legit = 0;
+    for (size_t i = 0; i < stream.requests.size(); ++i) {
+      if (stream.requests[i].tag != RequestTag::kLegit) {
+        continue;
+      }
+      ++legit;
+      EXPECT_EQ(first.responses[i].Serialize(), standalone->Handle(stream.requests[i]).Serialize())
+          << "legit response " << i;
+    }
+    EXPECT_GT(legit, 0u);
   }
 }
 

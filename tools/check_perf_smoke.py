@@ -19,6 +19,13 @@ microseconds. That is what every crashed worker's restart pays before the
 server's own initialization; past the bound, shard construction is zeroing
 or indexing memory it has not touched again.
 
+With --max-restart-us N: additionally fails if BM_ApacheWorkerConstruct
+(construct and destroy one Bounds Check Apache worker from a factory built
+once) takes more than N microseconds, or if the report holds no such run.
+That is the whole restart a crashed worker pays: shard, config parse and
+rule compilation. Past the bound, per-worker construction has started
+rebuilding something the factory should share (the docroot).
+
 With --overhead BENCH_overhead.json: additionally gates the
 failure-oblivious error path. Every BM_DiscardedWrite* and
 BM_ManufacturedRead* run (the "small"-named pair and the *Named pair, whose
@@ -45,7 +52,7 @@ the gate is skipped (a 1-core container cannot show it; a multi-core CI
 runner must).
 
 Usage: tools/check_perf_smoke.py [BENCH_check_cost.json] [--max-ratio 6.0]
-           [--max-construct-us 500]
+           [--max-construct-us 500] [--max-restart-us 1000]
            [--overhead BENCH_overhead.json] [--max-error-ns 150]
            [--boundless BENCH_boundless.json] [--max-boundless-ratio 2.0]
            [--throughput BENCH_throughput.json] [--min-pump-speedup 1.3]
@@ -150,6 +157,23 @@ def check_pairs(runs, select, to_baseline, max_ratio, what):
     return pairs, failures
 
 
+def check_upper_bound(runs, prefix, bound_us):
+    """Gates every run whose name starts with `prefix` at `bound_us`
+    microseconds per construction. Returns (checked, failures)."""
+    failures = []
+    checked = 0
+    for name, (ns, _) in sorted(runs.items()):
+        if not name.startswith(prefix):
+            continue
+        us = ns / 1e3
+        verdict = "ok" if us <= bound_us else "FAIL"
+        print(f"{verdict}: {name}: {us:.1f} us per construction (bound {bound_us:g} us)")
+        checked += 1
+        if us > bound_us:
+            failures.append((name, us))
+    return checked, failures
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("json_path", nargs="?", default="BENCH_check_cost.json")
@@ -158,6 +182,10 @@ def main():
     parser.add_argument("--max-construct-us", type=float, default=None,
                         help="also gate BM_MemoryConstruct: maximum microseconds to "
                              "construct and destroy one default Memory")
+    parser.add_argument("--max-restart-us", type=float, default=None,
+                        help="also gate BM_ApacheWorkerConstruct: maximum microseconds to "
+                             "construct and destroy one factory-made Bounds Check Apache "
+                             "worker")
     parser.add_argument("--overhead", metavar="BENCH_overhead.json", default=None,
                         help="also gate the failure-oblivious error-path benchmarks "
                              "(BM_DiscardedWrite*, BM_ManufacturedRead*) from this report")
@@ -190,21 +218,17 @@ def main():
         max_ratio=args.max_ratio,
         what="raw")
 
-    if args.max_construct_us is not None:
-        constructs = [(name, ns) for name, (ns, _) in sorted(runs.items())
-                      if name.startswith("BM_MemoryConstruct")]
-        if not constructs:
-            print("error: no BM_MemoryConstruct run found; construct gate is vacuous",
-                  file=sys.stderr)
+    for prefix, bound_us, gate in (
+            ("BM_MemoryConstruct", args.max_construct_us, "construct"),
+            ("BM_ApacheWorkerConstruct", args.max_restart_us, "restart")):
+        if bound_us is None:
+            continue
+        checked, over = check_upper_bound(runs, prefix, bound_us)
+        if checked == 0:
+            print(f"error: no {prefix} run found; {gate} gate is vacuous", file=sys.stderr)
             return 1
-        for name, ns in constructs:
-            us = ns / 1e3
-            verdict = "ok" if us <= args.max_construct_us else "FAIL"
-            print(f"{verdict}: {name}: {us:.1f} us per construction "
-                  f"(bound {args.max_construct_us:g} us)")
-            pairs += 1
-            if us > args.max_construct_us:
-                failures.append((name, us))
+        pairs += checked
+        failures += over
 
     if args.overhead is not None:
         loaded = load_runs(args.overhead, measure=per_iteration_ns)
